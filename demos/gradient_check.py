@@ -9,8 +9,8 @@ import numpy as np
 
 from sgconv import (
     KernelConfig,
-    causal_conv_fft,
-    conv_adjoint,
+    depthwise_conv_adjoint_batch,
+    depthwise_conv_batch,
     finite_diff_check,
     init_kernel,
     kernel_param_grad,
@@ -23,13 +23,16 @@ L = 256
 plan = make_plan(L)
 
 # --- adjoint identity: <A x, y> == <x, A^T y> -----------------------------------
-x, k, dy = rng.standard_normal((3, L))
-y = causal_conv_fft(x, k, plan)
-dx, dk = conv_adjoint(x, k, dy, plan)
+# one sequence and one channel: a (B, H, L) = (1, 1, L) batch
+x = rng.standard_normal((1, 1, L))
+k = rng.standard_normal((1, L))
+dy = rng.standard_normal((1, 1, L))
+y = depthwise_conv_batch(x, k, plan)
+dx, dk = depthwise_conv_adjoint_batch(x, k, dy, plan)
 print("adjoint identities for the convolution:")
-print(f"  <conv(x,k), dy> = {np.dot(y, dy):+.12f}")
-print(f"  <x, dx>         = {np.dot(x, dx):+.12f}")
-print(f"  <k, dk>         = {np.dot(k, dk):+.12f}")
+print(f"  <conv(x,k), dy> = {(y * dy).sum():+.12f}")
+print(f"  <x, dx>         = {(x * dx).sum():+.12f}")
+print(f"  <k, dk>         = {(k * dk).sum():+.12f}")
 
 # --- finite differences through the whole kernel pipeline -----------------------
 for mode in ("concat", "disentangled"):
@@ -42,8 +45,8 @@ for mode in ("concat", "disentangled"):
         return 0.5 * float((vals**2).sum())
 
     dkernel = materialize(params, cfg, normalizer=z).values
-    bundle = kernel_param_grad(dkernel, params, cfg, z)
-    err = finite_diff_check(loss_fn, params, bundle)
+    dweights = kernel_param_grad(dkernel, params, cfg, z)  # (H, N, d), like params.weights
+    err = finite_diff_check(loss_fn, params, dweights)
     n_params = params.weights.size
     print(f"\n{mode}: {n_params} parameters -> kernel of {cfg.channels}x{L} values")
     print(f"  max deviation of analytic gradient from central differences: {err:.2e}")

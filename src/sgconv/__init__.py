@@ -9,14 +9,11 @@ exercised by synthetic long-range training demos and a timing harness.
 from .conv import (
     ConvPlan,
     causal_conv_direct,
-    causal_conv_fft,
     depthwise_conv_batch,
     depthwise_conv_direct_batch,
     make_plan,
 )
 from .grad import (
-    GradBundle,
-    conv_adjoint,
     depthwise_conv_adjoint_batch,
     finite_diff_check,
     kernel_param_grad,
@@ -26,8 +23,6 @@ from .kernel import (
     KernelConfig,
     MaterializedKernel,
     ScaleParams,
-    build_kernel_concat,
-    build_kernel_disentangled,
     compute_normalizer,
     init_kernel,
     init_params,
@@ -60,12 +55,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvPlan",
     "causal_conv_direct",
-    "causal_conv_fft",
     "depthwise_conv_batch",
     "depthwise_conv_direct_batch",
     "make_plan",
-    "GradBundle",
-    "conv_adjoint",
     "depthwise_conv_adjoint_batch",
     "finite_diff_check",
     "kernel_param_grad",
@@ -73,8 +65,6 @@ __all__ = [
     "KernelConfig",
     "MaterializedKernel",
     "ScaleParams",
-    "build_kernel_concat",
-    "build_kernel_disentangled",
     "compute_normalizer",
     "init_kernel",
     "init_params",

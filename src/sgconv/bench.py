@@ -25,6 +25,14 @@ DEFAULT_LENGTHS = (256, 512, 1024, 2048, 4096, 8192, 16384)
 DEFAULT_DIRECT_CAP = 8192
 DIRECT_BLOCK = 1024
 
+# In a fresh process the first multithreaded BLAS calls can run ~20x slower
+# for about a second (on a 2-core host: L=1024 attention at 64 ms per call
+# instead of 3 ms, for 0.96 s), so each callable warms up for at least
+# WARMUP_FLOOR_S.
+WARMUP_FLOOR_S = 1.5
+WARMUP_AGREE = 0.10
+WARMUP_CAP_S = 10.0
+
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -110,8 +118,18 @@ def _make_callable(impl: str, seq_len: int, channels: int, batch: int, dtype, rn
 
 
 def _time_reps(fn, reps: int, warmup: int) -> np.ndarray:
-    for _ in range(warmup):
+    """Time reps calls in ms after `warmup` calls and the WARMUP_* warm-up."""
+    start = time.perf_counter()
+    calls, prev, last = 0, None, None
+    while True:
+        t0 = time.perf_counter()
         fn()
+        t1 = time.perf_counter()
+        calls, prev, last = calls + 1, last, t1 - t0
+        spent = t1 - start
+        agree = prev is not None and abs(last - prev) <= WARMUP_AGREE * max(last, prev)
+        if calls >= warmup and (spent >= WARMUP_CAP_S or (spent >= WARMUP_FLOOR_S and agree)):
+            break
     times = np.empty(reps)
     for i in range(reps):
         t0 = time.perf_counter()

@@ -29,6 +29,9 @@ DEFAULT_FIXED_T = 1.0
 # config-file keys may use the short flag spellings
 KEY_ALIASES = {"len": "seq_len", "alpha": "decay_alpha", "t": "decay_t"}
 
+# defaults of the flags that _add_common gives every command
+COMMON_DEFAULTS = {"seed": 0, "precision": "f64"}
+
 
 def _parse_config_file(path) -> dict[str, str]:
     entries = {}
@@ -59,7 +62,8 @@ def _coerce(raw: str, like):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit CLI flags."""
+    """COMMON_DEFAULTS <- command defaults <- config file <- explicit CLI flags."""
+    defaults = {**COMMON_DEFAULTS, **defaults}
     resolved = dict(defaults)
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
@@ -85,6 +89,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output path")
     p.add_argument("--precision", choices=("f32", "f64"), default=None)
     p.add_argument("--config", type=str, default=None, help="key = value defaults file")
+
+
+# flags that train and ablate share, keyed by destination, and their shared defaults
+RUN_FLAGS = {
+    "task": ("--task", {"choices": ("first-token-recall", "adding-problem", "sparse-majority")}),
+    "seq_len": ("--len", {"type": int}),
+    "classes": ("--classes", {"type": int}),
+    "steps": ("--steps", {"type": int}),
+    "batch_size": ("--batch-size", {"type": int}),
+    "lr": ("--lr", {"type": float}),
+    "channels": ("--channels", {"type": int}),
+}
+RUN_DEFAULTS = {"task": "first-token-recall", "classes": 8, "batch_size": 32, "channels": 32}
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *dests: str) -> None:
+    for dest in dests:
+        flag, kwargs = RUN_FLAGS[dest]
+        p.add_argument(flag, dest=dest, default=None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,15 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the toy classifier on a synthetic task")
     _add_common(p)
-    p.add_argument("--task", choices=("first-token-recall", "adding-problem", "sparse-majority"),
-                   default=None)
-    p.add_argument("--len", dest="seq_len", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    _add_run_flags(p, "task", "seq_len", "classes", "steps", "batch_size", "lr")
     p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--channels", type=int, default=None)
+    _add_run_flags(p, "channels")
     p.add_argument("--blocks", type=int, default=None)
     p.add_argument("--scale-dim", dest="scale_dim", type=int, default=None)
     p.add_argument("--mode", choices=("concat", "disentangled"), default=None)
@@ -140,14 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="decay/dimension ablation sweeps")
     _add_common(p)
-    p.add_argument("--task", choices=("first-token-recall", "adding-problem", "sparse-majority"),
-                   default=None)
-    p.add_argument("--len", dest="seq_len", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--channels", type=int, default=None)
+    _add_run_flags(p, *RUN_FLAGS)
     p.add_argument("--seeds", type=int, default=None, help="number of seeds per grid point")
     p.add_argument("--t-sweep", dest="t_sweep", type=_float_list, default=None)
     p.add_argument("--d-sweep", dest="d_sweep", type=_int_list, default=None)
@@ -158,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    opts = _resolve(args, {"seed": 0, "precision": "f64", "filter": None, "out": None})
+    opts = _resolve(args, {"filter": None, "out": None})
     results = verify_mod.run_suites(opts["filter"], precision=opts["precision"])
     all_ok = True
     lines = []
@@ -180,7 +190,6 @@ def cmd_bench(args) -> int:
     opts = _resolve(
         args,
         {
-            "seed": 0,
             "precision": "f32",
             "out": "bench.csv",
             "lengths": bench_mod.DEFAULT_LENGTHS,
@@ -220,8 +229,6 @@ def cmd_dump_kernel(args) -> int:
     opts = _resolve(
         args,
         {
-            "seed": 0,
-            "precision": "f64",
             "out": "kernel.csv",
             "seq_len": 4096,
             "scale_dim": 32,
@@ -266,17 +273,12 @@ def cmd_train(args) -> int:
     opts = _resolve(
         args,
         {
-            "seed": 0,
-            "precision": "f64",
+            **RUN_DEFAULTS,
             "out": "run",
-            "task": "first-token-recall",
             "seq_len": 1024,
-            "classes": 8,
             "steps": 500,
-            "batch_size": 32,
             "lr": 3e-2,
             "optimizer": "adam",
-            "channels": 32,
             "blocks": 1,
             "scale_dim": 8,
             "mode": "concat",
@@ -301,7 +303,11 @@ def cmd_train(args) -> int:
     )
     initial = None
     if opts["resume"]:
-        initial, model_cfg = model_mod.load_checkpoint(opts["resume"])
+        try:
+            initial, model_cfg = model_mod.load_checkpoint(opts["resume"])
+        except (OSError, ValueError) as exc:
+            print(f"cannot resume from {opts['resume']}: {exc}", file=sys.stderr)
+            return 2
     train_cfg = model_mod.TrainConfig(
         steps=opts["steps"],
         batch_size=opts["batch_size"],
@@ -332,16 +338,11 @@ def cmd_ablate(args) -> int:
     opts = _resolve(
         args,
         {
-            "seed": 0,
-            "precision": "f64",
+            **RUN_DEFAULTS,
             "out": "ablation.csv",
-            "task": "first-token-recall",
             "seq_len": 256,
-            "classes": 8,
             "steps": 200,
-            "batch_size": 32,
             "lr": 2e-2,
-            "channels": 32,
             "seeds": 1,
             "t_sweep": DEFAULT_T_SWEEP,
             "d_sweep": DEFAULT_D_SWEEP,

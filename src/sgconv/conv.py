@@ -34,8 +34,6 @@ class ConvPlan:
 
 def make_plan(seq_len: int) -> ConvPlan:
     """Plan with the smallest power-of-two FFT size >= 2L."""
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be positive, got {seq_len}")
     m = 1
     while m < 2 * seq_len:
         m *= 2
@@ -61,24 +59,12 @@ def causal_conv_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return y
 
 
-def causal_conv_fft(x: np.ndarray, k: np.ndarray, plan: ConvPlan) -> np.ndarray:
-    """FFT-based causal convolution; matches causal_conv_direct to roundoff."""
-    x = np.asarray(x)
-    k = np.asarray(k)
-    if x.shape[-1] != plan.seq_len or k.shape[-1] != plan.seq_len:
-        raise ValueError(
-            f"plan is for L={plan.seq_len}, got inputs of length {x.shape[-1]} and {k.shape[-1]}"
-        )
-    m = plan.fft_size
-    spec = np.fft.rfft(x, n=m) * np.fft.rfft(k, n=m)
-    return np.fft.irfft(spec, n=m)[..., : plan.seq_len].astype(x.dtype, copy=False)
-
-
 def depthwise_conv_batch(x: np.ndarray, kernel, plan: ConvPlan) -> np.ndarray:
     """Per-channel causal convolution of a (B, H, L) batch.
 
     Channel h of the output depends only on channel h of the input and
     kernel.  Kernel spectra are computed once and shared across the batch.
+    This is the only FFT convolution; a single sequence is a (1, 1, L) batch.
     """
     x = np.asarray(x)
     kv = _kernel_values(kernel)

@@ -8,14 +8,13 @@ autodiff framework.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .conv import ConvPlan, make_plan
+from .conv import ConvPlan
 from .kernel import (
     KernelConfig,
     ScaleParams,
+    _check_params,
     _interp_indices,
     coverage,
     position_decay,
@@ -23,59 +22,15 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class GradBundle:
-    """Gradients matching the forward shapes exactly."""
-
-    d_weights: np.ndarray  # (H, N, d), same shape as ScaleParams.weights
-    d_input: np.ndarray | None = None  # (B, H, L) when input grads are requested
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.d_weights)):
-            raise ValueError("d_weights contain non-finite values")
-        if self.d_input is not None and not np.all(np.isfinite(self.d_input)):
-            raise ValueError("d_input contains non-finite values")
-
-
-def _correlate(a: np.ndarray, b: np.ndarray, plan: ConvPlan) -> np.ndarray:
-    """corr[n] = sum_m a[m] * b[n+m] over the last axis, via FFT."""
-    m = plan.fft_size
-    spec = np.conj(np.fft.rfft(a, n=m)) * np.fft.rfft(b, n=m)
-    return np.fft.irfft(spec, n=m)[..., : plan.seq_len]
-
-
-def conv_adjoint(
-    x: np.ndarray, k: np.ndarray, dy: np.ndarray, plan: ConvPlan | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of causal convolution for a single sequence.
-
-    Returns (dx, dk) with dx[n] = sum_m k[m]*dy[n+m] and
-    dk[m] = sum_{n>=m} dy[n]*x[n-m]; both are correlations evaluated in
-    O(L log L).
-    """
-    x = np.asarray(x)
-    k = np.asarray(k)
-    dy = np.asarray(dy)
-    if not (x.shape == k.shape == dy.shape) or x.ndim != 1:
-        raise ValueError(
-            f"x, k, dy must be equal-length vectors, got {x.shape}, {k.shape}, {dy.shape}"
-        )
-    if plan is None:
-        plan = make_plan(x.shape[0])
-    elif plan.seq_len != x.shape[0]:
-        raise ValueError(f"plan is for L={plan.seq_len}, inputs have L={x.shape[0]}")
-    dx = _correlate(k, dy, plan)
-    dk = _correlate(x, dy, plan)
-    return dx, dk
-
-
 def depthwise_conv_adjoint_batch(
     x: np.ndarray, kernel_values: np.ndarray, dy: np.ndarray, plan: ConvPlan
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched adjoint of depthwise_conv_batch.
+    """Adjoint of depthwise_conv_batch.
 
     Returns (dx, dk) where dx has shape (B, H, L) and dk has shape (H, L)
-    with the batch contributions summed (fixed summation order).
+    with the batch contributions summed (fixed summation order):
+    dx[n] = sum_m k[m]*dy[n+m] and dk[m] = sum_{n>=m} dy[n]*x[n-m], both
+    correlations evaluated in O(L log L).
     """
     x = np.asarray(x)
     kv = np.asarray(kernel_values)
@@ -84,6 +39,8 @@ def depthwise_conv_adjoint_batch(
         raise ValueError(
             f"inconsistent shapes: x {x.shape}, dy {dy.shape}, kernel {kv.shape}"
         )
+    if x.shape[2] != plan.seq_len:
+        raise ValueError(f"plan is for L={plan.seq_len}, got input L={x.shape[2]}")
     m = plan.fft_size
     kf = np.fft.rfft(kv, n=m)
     xf = np.fft.rfft(x, n=m)
@@ -124,21 +81,21 @@ def kernel_param_grad(
     params: ScaleParams,
     config: KernelConfig,
     normalizer: np.ndarray,
-) -> GradBundle:
+) -> np.ndarray:
     """Pull a kernel-space gradient (H, L) back to ScaleParams space.
 
     Applies, in reverse order: division by the frozen normalizer (a
     constant, so a plain 1/Z scaling), the per-position decay (disentangled)
     or per-scale coefficient (concat), zero-extension over the truncated
     tail, the split at sub-kernel boundaries, and the upsample transpose.
+    Returns the (H, N, d) gradient of ScaleParams.weights.
     """
     d_kernel = np.asarray(d_kernel, dtype=np.float64)
     H, N, d = params.weights.shape
     L = config.seq_len
     if d_kernel.shape != (H, L):
         raise ValueError(f"d_kernel must have shape ({H}, {L}), got {d_kernel.shape}")
-    if (H, N, d) != (config.channels, config.num_scales, config.scale_dim):
-        raise ValueError("params do not match config")
+    _check_params(params, config)
     z = np.asarray(normalizer, dtype=np.float64)
     if z.shape != (H,):
         raise ValueError(f"normalizer must have shape ({H},), got {z.shape}")
@@ -160,13 +117,13 @@ def kernel_param_grad(
             seg = seg * np.asarray(alpha**i).reshape(-1, 1)
         d_weights[:, i, :] = upsample_adjoint(seg, d)
         offset += li
-    return GradBundle(d_weights=d_weights)
+    return d_weights
 
 
 def finite_diff_check(
     loss_fn,
     params: ScaleParams,
-    analytic: GradBundle,
+    analytic: np.ndarray,
     eps: float = 1e-5,
     max_coords: int = 200,
     seed: int = 0,
@@ -187,7 +144,7 @@ def finite_diff_check(
         idx.sort()
     else:
         idx = np.arange(n)
-    an = analytic.d_weights.ravel()
+    an = np.asarray(analytic).ravel()
     worst = 0.0
     for i in idx:
         h = eps * max(1.0, abs(flat_w[i]))

@@ -245,28 +245,6 @@ def materialize(
     return MaterializedKernel(values=raw / z[:, None], normalizer=z)
 
 
-def build_kernel_concat(
-    params: ScaleParams,
-    config: KernelConfig,
-    normalizer: np.ndarray | None = None,
-) -> MaterializedKernel:
-    """Kernel via geometric per-scale weighting alpha**i."""
-    if config.mode != "concat":
-        raise ValueError(f"config.mode must be 'concat', got {config.mode!r}")
-    return materialize(params, config, normalizer)
-
-
-def build_kernel_disentangled(
-    params: ScaleParams,
-    config: KernelConfig,
-    normalizer: np.ndarray | None = None,
-) -> MaterializedKernel:
-    """Kernel via unweighted concatenation times per-position decay p**-t."""
-    if config.mode != "disentangled":
-        raise ValueError(f"config.mode must be 'disentangled', got {config.mode!r}")
-    return materialize(params, config, normalizer)
-
-
 def init_params(config: KernelConfig, rng: np.random.Generator | None = None) -> ScaleParams:
     """Draw initial ScaleParams; deterministic given the seed.
 

@@ -35,17 +35,16 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss or a gradient becomes non-finite."""
 
 
 @dataclass(frozen=True)
 class BlockConfig:
-    """Shape and wiring of one residual convolution block."""
+    """Shape and wiring of one residual block; its channel mix is H -> H."""
 
     channels: int
     seq_len: int
     kernel: KernelConfig
-    mix_dim: int | None = None
     activation: str = "gelu"
 
     def __post_init__(self):
@@ -55,14 +54,6 @@ class BlockConfig:
             raise ValueError("kernel.channels must equal block channels")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.mix_dim is None:
-            object.__setattr__(self, "mix_dim", self.channels)
-        # The mixing map is a single linear H -> H layer feeding a residual
-        # add, so its width is pinned to the channel count.
-        if self.mix_dim != self.channels:
-            raise ValueError(
-                f"mix_dim must equal channels ({self.channels}), got {self.mix_dim}"
-            )
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,7 @@ def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, bcfg: BlockConf
         ScaleParams(weights=bp.weights, alphas=bp.alphas),
         bcfg.kernel,
         bp.kernel_norm,
-    ).d_weights
+    )
     dgamma = (dh * cache["xhat"]).sum(axis=(0, 2))
     dbeta = dh.sum(axis=(0, 2))
     dxhat = dh * bp.gamma[None, :, None]
@@ -505,7 +496,8 @@ def train(
     step 0, every eval_every steps, and at the final step, so a zero
     learning rate yields an exactly flat curve.  Passing a state resumes
     from existing parameters (e.g. a loaded checkpoint).  A non-finite
-    training loss aborts with TrainingDiverged.
+    training loss or gradient aborts with TrainingDiverged, which names the
+    step and, for a gradient, the tensor.
     """
     seqs = np.random.SeedSequence(train_cfg.seed).spawn(3)
     init_rng = np.random.default_rng(seqs[0])
@@ -523,6 +515,7 @@ def train(
     opt = _Optimizer(params, train_cfg)
 
     log = []
+    hyper = f"(lr={train_cfg.lr}, optimizer={train_cfg.optimizer})"
 
     def record(step: int) -> None:
         loss, acc = _evaluate(state, model_cfg, plan, eval_inputs, eval_labels, regression)
@@ -537,11 +530,11 @@ def train(
         else:
             loss, dlogits = cross_entropy(logits, labels)
         if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"non-finite training loss {loss} at step {step} "
-                f"(lr={train_cfg.lr}, optimizer={train_cfg.optimizer})"
-            )
+            raise TrainingDiverged(f"non-finite training loss {loss} at step {step} {hyper}")
         grads = classifier_backward(dlogits, cache, inputs, state, model_cfg, plan)
+        for name in names:
+            if not np.all(np.isfinite(grads[name])):
+                raise TrainingDiverged(f"non-finite gradient in {name} at step {step} {hyper}")
         opt.step([grads[name] for name in names])
         if step % train_cfg.eval_every == 0 or step == train_cfg.steps:
             record(step)
@@ -607,21 +600,27 @@ def save_checkpoint(path, state: ModelState, model_cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
+    """Read a save_checkpoint file; one of the wrong byte length raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
-    version = int(np.frombuffer(data[4:8], dtype="<u4")[0])
+    jlen = int.from_bytes(data[8:12], "little")
+    if len(data) < 12 + jlen:  # also catches a file cut inside the 12-byte prefix
+        raise ValueError(f"checkpoint truncated: {len(data)} bytes, header needs {12 + jlen}")
+    version = int.from_bytes(data[4:8], "little")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    jlen = int(np.frombuffer(data[8:12], dtype="<u4")[0])
     header = json.loads(data[12 : 12 + jlen].decode("utf-8"))
     cfg = ModelConfig(**header["model"])
+    shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
+    expected = 12 + jlen + 8 * sum(int(np.prod(shape)) for shape in shapes)
+    if len(data) != expected:
+        raise ValueError(f"checkpoint size mismatch: expected {expected} bytes, got {len(data)}")
     offset = 12 + jlen
     arrays = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry, shape in zip(header["tensors"], shapes):
+        count = int(np.prod(shape))
         arr = np.frombuffer(data[offset : offset + 8 * count], dtype="<f8")
         arrays[entry["name"]] = arr.astype(np.float64).reshape(shape)
         offset += 8 * count

@@ -86,12 +86,12 @@ def suite_kernelgen_decay(seed: int = 0) -> list[str]:
     c1 = kernel.KernelConfig(seq_len=200, scale_dim=8, channels=2, mode="concat", decay_alpha=1.0)
     c2 = kernel.KernelConfig(seq_len=200, scale_dim=8, channels=2, mode="disentangled", decay_t=0.0)
     params = kernel.init_params(c1, rng)
-    k1 = kernel.build_kernel_concat(params, c1)
-    k2 = kernel.build_kernel_disentangled(params, c2)
+    k1 = kernel.materialize(params, c1)
+    k2 = kernel.materialize(params, c2)
     if _rel_err(k1.values, k2.values) > 1e-14:
         fails.append("alpha=1 concat != t=0 disentangled")
     # purity: same inputs, bit-identical outputs
-    k1b = kernel.build_kernel_concat(params, c1)
+    k1b = kernel.materialize(params, c1)
     if not np.array_equal(k1.values, k1b.values):
         fails.append("kernel builder is not pure")
     return fails
@@ -109,7 +109,7 @@ def suite_fftconv_agreement(seed: int = 0, precision: str = "f64") -> list[str]:
             x = rng.standard_normal(L).astype(dtype)
             k = rng.standard_normal(L).astype(dtype)
             direct = conv.causal_conv_direct(x, k)
-            fast = conv.causal_conv_fft(x, k, plan)
+            fast = conv.depthwise_conv_batch(x[None, None], k[None], plan)[0, 0]
             worst = max(worst, _rel_err(fast, direct))
         if worst > tol:
             fails.append(f"fft/direct relative error {worst:.2e} > {tol} at L={L}")
@@ -121,26 +121,28 @@ def suite_fftconv_properties(seed: int = 0) -> list[str]:
     rng = np.random.default_rng(seed)
     L = 128
     plan = conv.make_plan(L)
-    k = rng.standard_normal(L)
-    x1 = rng.standard_normal(L)
-    x2 = rng.standard_normal(L)
-    lhs = conv.causal_conv_fft(2.5 * x1 - 1.5 * x2, k, plan)
-    rhs = 2.5 * conv.causal_conv_fft(x1, k, plan) - 1.5 * conv.causal_conv_fft(x2, k, plan)
-    if _rel_err(lhs, rhs) > 1e-12:
+    k = rng.standard_normal((1, L))
+    x1 = rng.standard_normal((1, 1, L))
+    x2 = rng.standard_normal((1, 1, L))
+
+    def conv_k(x, p=plan):
+        return conv.depthwise_conv_batch(x, k, p)
+
+    if _rel_err(conv_k(2.5 * x1 - 1.5 * x2), 2.5 * conv_k(x1) - 1.5 * conv_k(x2)) > 1e-12:
         fails.append("convolution is not linear")
     # causality: zeroing the future never changes the past
     cut = 40
     xz = x1.copy()
-    xz[cut:] = 0.0
-    if _rel_err(conv.causal_conv_fft(xz, k, plan)[:cut], conv.causal_conv_fft(x1, k, plan)[:cut]) > 1e-12:
+    xz[..., cut:] = 0.0
+    if _rel_err(conv_k(xz)[..., :cut], conv_k(x1)[..., :cut]) > 1e-12:
         fails.append("convolution is not causal")
-    imp = np.zeros(L)
-    imp[0] = 1.0
-    if _rel_err(conv.causal_conv_fft(imp, k, plan), k) > 1e-12:
+    imp = np.zeros((1, 1, L))
+    imp[..., 0] = 1.0
+    if _rel_err(conv_k(imp)[0], k) > 1e-12:
         fails.append("unit impulse does not reproduce the kernel")
     # plan reuse must be bit-identical to fresh plans
-    y_shared = [conv.causal_conv_fft(x1, k, plan) for _ in range(10)]
-    y_fresh = [conv.causal_conv_fft(x1, k, conv.make_plan(L)) for _ in range(10)]
+    y_shared = [conv_k(x1) for _ in range(10)]
+    y_fresh = [conv_k(x1, conv.make_plan(L)) for _ in range(10)]
     for a, b in zip(y_shared, y_fresh):
         if not np.array_equal(a, b):
             fails.append("plan reuse is not bit-identical")
@@ -162,15 +164,15 @@ def suite_grad_adjoints(seed: int = 0) -> list[str]:
     L = 256
     plan = conv.make_plan(L)
     for _ in range(20):
-        x = rng.standard_normal(L)
-        k = rng.standard_normal(L)
-        dy = rng.standard_normal(L)
-        y = conv.causal_conv_fft(x, k, plan)
-        dx, dk = grad.conv_adjoint(x, k, dy, plan)
-        lhs = float(np.dot(y, dy))
-        if abs(lhs - float(np.dot(x, dx))) > ADJOINT_TOL * max(1.0, abs(lhs)):
+        x = rng.standard_normal((1, 1, L))
+        k = rng.standard_normal((1, L))
+        dy = rng.standard_normal((1, 1, L))
+        y = conv.depthwise_conv_batch(x, k, plan)
+        dx, dk = grad.depthwise_conv_adjoint_batch(x, k, dy, plan)
+        lhs = float((y * dy).sum())
+        if abs(lhs - float((x * dx).sum())) > ADJOINT_TOL * max(1.0, abs(lhs)):
             fails.append("<conv(x,k),dy> != <x,dx>")
-        if abs(lhs - float(np.dot(k, dk))) > ADJOINT_TOL * max(1.0, abs(lhs)):
+        if abs(lhs - float((k * dk).sum())) > ADJOINT_TOL * max(1.0, abs(lhs)):
             fails.append("<conv(x,k),dy> != <k,dk>")
     # upsample adjoint equals the dense transpose
     for d, l in ((1, 7), (2, 5), (8, 32), (16, 64)):
@@ -201,8 +203,8 @@ def suite_grad_finite_diff(seed: int = 0) -> list[str]:
             return 0.5 * float((vals**2).sum())
 
         dk = kernel.materialize(params, cfg, normalizer=z).values
-        bundle = grad.kernel_param_grad(dk, params, cfg, z)
-        err = grad.finite_diff_check(loss_fn, params, bundle)
+        dweights = grad.kernel_param_grad(dk, params, cfg, z)
+        err = grad.finite_diff_check(loss_fn, params, dweights)
         if err > FD_TOL:
             fails.append(f"kernel param grad off by {err:.2e} ({mode})")
     return fails

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sgconv.model as model_mod
 import sgconv.verify as verify_mod
 from sgconv.cli import main
 from sgconv.conv import make_plan
@@ -160,6 +161,36 @@ class TestTrainCommand:
         run_cli(*args, "--out", str(tmp_path / "r2"))
         assert (tmp_path / "r1.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
         assert (tmp_path / "r1.ckpt").read_bytes() == (tmp_path / "r2.ckpt").read_bytes()
+
+    def test_non_finite_gradient_exits_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(
+            model_mod, "kernel_param_grad",
+            lambda dk, params, cfg, z: np.full(params.weights.shape, np.nan),
+        )
+        rc = run_cli("train", "--task", "first-token-recall", "--len", "32",
+                     "--classes", "4", "--steps", "3", "--batch-size", "4",
+                     "--channels", "8", "--blocks", "1", "--scale-dim", "4",
+                     "--out", str(tmp_path / "nan"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "non-finite gradient in block0.weights at step 1" in err
+        assert not (tmp_path / "nan.ckpt").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    def test_resume_rejects_damaged_checkpoint(self, damage, tmp_path, capsys):
+        args = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
+                "--steps", "2", "--batch-size", "4", "--channels", "8", "--blocks", "1",
+                "--scale-dim", "4"]
+        run_cli(*args, "--out", str(tmp_path / "base"))
+        ckpt = tmp_path / "base.ckpt"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-5] if damage == "truncated" else blob + b"\x00")
+        capsys.readouterr()
+        rc = run_cli(*args, "--resume", str(ckpt), "--out", str(tmp_path / "again"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and f"expected {len(blob)} bytes" in err
+        assert not (tmp_path / "again.jsonl").exists()
 
 
 class TestAblateCommand:

@@ -4,7 +4,6 @@ import pytest
 from sgconv.conv import (
     ConvPlan,
     causal_conv_direct,
-    causal_conv_fft,
     depthwise_conv_batch,
     depthwise_conv_direct_batch,
     make_plan,
@@ -22,6 +21,11 @@ def scalar_conv(x, k):
         for m in range(i + 1):
             y[i] += k[m] * x[i - m]
     return y
+
+
+def fft_conv(x, k, plan):
+    """One sequence through the batched FFT path, as a (1, 1, L) batch."""
+    return depthwise_conv_batch(x[None, None], k[None], plan)[0, 0]
 
 
 def rel_err(a, b):
@@ -45,8 +49,8 @@ class TestPlan:
         x = rng.standard_normal(L)
         k = rng.standard_normal(L)
         plan = make_plan(L)
-        shared = [causal_conv_fft(x, k, plan) for _ in range(100)]
-        fresh = [causal_conv_fft(x, k, make_plan(L)) for _ in range(100)]
+        shared = [fft_conv(x, k, plan) for _ in range(100)]
+        fresh = [fft_conv(x, k, make_plan(L)) for _ in range(100)]
         for a, b in zip(shared, fresh):
             np.testing.assert_array_equal(a, b)
 
@@ -84,12 +88,12 @@ class TestFFT:
         k = rng.standard_normal(64)
         x = np.zeros(64)
         x[0] = 1.0
-        assert rel_err(causal_conv_fft(x, k, make_plan(64)), k) < 1e-13
+        assert rel_err(fft_conv(x, k, make_plan(64)), k) < 1e-13
 
     def test_zero_input_gives_zero(self):
         k = np.random.default_rng(3).standard_normal(32)
         np.testing.assert_array_equal(
-            causal_conv_fft(np.zeros(32), k, make_plan(32)), np.zeros(32)
+            fft_conv(np.zeros(32), k, make_plan(32)), np.zeros(32)
         )
 
     @pytest.mark.parametrize("L", [16, 64, 256])
@@ -99,7 +103,7 @@ class TestFFT:
         for _ in range(25):
             x = rng.standard_normal(L)
             k = rng.standard_normal(L)
-            assert rel_err(causal_conv_fft(x, k, plan), causal_conv_direct(x, k)) < F64_TOL
+            assert rel_err(fft_conv(x, k, plan), causal_conv_direct(x, k)) < F64_TOL
 
     @pytest.mark.parametrize("L", [256, 1024])
     def test_agrees_with_direct_f32(self, L):
@@ -108,14 +112,14 @@ class TestFFT:
         for _ in range(25):
             x = rng.standard_normal(L).astype(np.float32)
             k = rng.standard_normal(L).astype(np.float32)
-            y = causal_conv_fft(x, k, plan)
+            y = fft_conv(x, k, plan)
             assert y.dtype == np.float32
             assert rel_err(y.astype(np.float64), causal_conv_direct(x, k)) < F32_TOL
 
     def test_length_one_edge_case(self):
         plan = make_plan(1)
         np.testing.assert_allclose(
-            causal_conv_fft(np.array([3.0]), np.array([2.0]), plan), [6.0]
+            fft_conv(np.array([3.0]), np.array([2.0]), plan), [6.0]
         )
 
     def test_linearity(self):
@@ -123,8 +127,8 @@ class TestFFT:
         L = 128
         plan = make_plan(L)
         x1, x2, k = rng.standard_normal((3, L))
-        lhs = causal_conv_fft(3.0 * x1 - 0.5 * x2, k, plan)
-        rhs = 3.0 * causal_conv_fft(x1, k, plan) - 0.5 * causal_conv_fft(x2, k, plan)
+        lhs = fft_conv(3.0 * x1 - 0.5 * x2, k, plan)
+        rhs = 3.0 * fft_conv(x1, k, plan) - 0.5 * fft_conv(x2, k, plan)
         assert rel_err(lhs, rhs) < 1e-12
 
     def test_causality(self):
@@ -133,16 +137,16 @@ class TestFFT:
         plan = make_plan(L)
         x = rng.standard_normal(L)
         k = rng.standard_normal(L)
-        base = causal_conv_fft(x, k, plan)
+        base = fft_conv(x, k, plan)
         for cut in (1, 17, 64, 127):
             mod = x.copy()
             mod[cut:] = rng.standard_normal(L - cut)
-            changed = causal_conv_fft(mod, k, plan)
+            changed = fft_conv(mod, k, plan)
             np.testing.assert_allclose(changed[:cut], base[:cut], atol=1e-11)
 
     def test_rejects_plan_mismatch(self):
         with pytest.raises(ValueError):
-            causal_conv_fft(np.zeros(16), np.zeros(16), make_plan(32))
+            depthwise_conv_batch(np.zeros((1, 1, 16)), np.zeros((1, 16)), make_plan(32))
 
 
 class TestDepthwiseBatch:

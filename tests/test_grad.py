@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from sgconv.conv import causal_conv_fft, depthwise_conv_batch, make_plan
+from sgconv.conv import depthwise_conv_batch, make_plan
 from sgconv.grad import (
-    GradBundle,
-    conv_adjoint,
     depthwise_conv_adjoint_batch,
     finite_diff_check,
     kernel_param_grad,
@@ -22,17 +20,28 @@ from sgconv.kernel import (
 ADJOINT_TOL = 1e-10
 
 
+def fft_conv(x, k, plan):
+    """One sequence through the batched FFT path, as a (1, 1, L) batch."""
+    return depthwise_conv_batch(x[None, None], k[None], plan)[0, 0]
+
+
+def adjoint_one(x, k, dy, plan):
+    """The batched adjoint applied to one sequence, as a (1, 1, L) batch."""
+    dx, dk = depthwise_conv_adjoint_batch(x[None, None], k[None], dy[None, None], plan)
+    return dx[0, 0], dk[0]
+
+
 class TestConvAdjoint:
     def test_dk_example(self):
         x = np.array([1.0, 2.0])
         dy = np.array([0.0, 1.0])
-        _, dk = conv_adjoint(x, np.array([0.3, 0.7]), dy)
+        _, dk = adjoint_one(x, np.array([0.3, 0.7]), dy, make_plan(2))
         np.testing.assert_allclose(dk, [2.0, 1.0], atol=1e-12)
 
     def test_zero_cotangent_gives_zeros(self):
         rng = np.random.default_rng(0)
         x, k = rng.standard_normal((2, 32))
-        dx, dk = conv_adjoint(x, k, np.zeros(32))
+        dx, dk = adjoint_one(x, k, np.zeros(32), make_plan(32))
         np.testing.assert_allclose(dx, 0.0, atol=1e-14)
         np.testing.assert_allclose(dk, 0.0, atol=1e-14)
 
@@ -42,8 +51,8 @@ class TestConvAdjoint:
         plan = make_plan(L)
         for _ in range(50):
             x, k, dy = rng.standard_normal((3, L))
-            y = causal_conv_fft(x, k, plan)
-            dx, dk = conv_adjoint(x, k, dy, plan)
+            y = fft_conv(x, k, plan)
+            dx, dk = adjoint_one(x, k, dy, plan)
             lhs = np.dot(y, dy)
             assert abs(lhs - np.dot(x, dx)) <= ADJOINT_TOL * max(1.0, abs(lhs))
             assert abs(lhs - np.dot(k, dk)) <= ADJOINT_TOL * max(1.0, abs(lhs))
@@ -53,7 +62,7 @@ class TestConvAdjoint:
         L = 256
         plan = make_plan(L)
         x, k, dy = rng.standard_normal((3, L))
-        dx, dk = conv_adjoint(x, k, dy, plan)
+        dx, dk = adjoint_one(x, k, dy, plan)
         eps = 1e-5
         for idx in rng.integers(0, L, size=8):
             for which, analytic in (("x", dx), ("k", dk)):
@@ -65,14 +74,20 @@ class TestConvAdjoint:
                 else:
                     kp[idx] += eps
                     km[idx] -= eps
-                fp = np.dot(causal_conv_fft(xp, kp, plan), dy)
-                fm = np.dot(causal_conv_fft(xm, km, plan), dy)
+                fp = np.dot(fft_conv(xp, kp, plan), dy)
+                fm = np.dot(fft_conv(xm, km, plan), dy)
                 fd = (fp - fm) / (2 * eps)
                 assert abs(fd - analytic[idx]) <= 1e-6 * max(1.0, abs(analytic[idx]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            conv_adjoint(np.zeros(4), np.zeros(4), np.zeros(5))
+            depthwise_conv_adjoint_batch(
+                np.zeros((1, 1, 4)), np.zeros((1, 4)), np.zeros((1, 1, 5)), make_plan(4)
+            )
+        with pytest.raises(ValueError):
+            depthwise_conv_adjoint_batch(
+                np.zeros((1, 1, 4)), np.zeros((1, 4)), np.zeros((1, 1, 4)), make_plan(8)
+            )
 
 
 class TestBatchAdjoint:
@@ -100,7 +115,7 @@ class TestBatchAdjoint:
         for h in range(H):
             acc = np.zeros(L)
             for b in range(B):
-                dxb, dkb = conv_adjoint(x[b, h], k[h], dy[b, h], plan)
+                dxb, dkb = adjoint_one(x[b, h], k[h], dy[b, h], plan)
                 np.testing.assert_allclose(dx[b, h], dxb, atol=1e-12)
                 acc += dkb
             np.testing.assert_allclose(dk[h], acc, atol=1e-11)
@@ -139,16 +154,16 @@ class TestKernelParamGrad:
     def test_zero_gradient_passes_through(self):
         cfg = KernelConfig(seq_len=64, scale_dim=8, channels=2)
         params, kern = init_kernel(cfg, np.random.default_rng(7))
-        bundle = kernel_param_grad(np.zeros((2, 64)), params, cfg, kern.normalizer)
-        np.testing.assert_array_equal(bundle.d_weights, np.zeros_like(params.weights))
+        dweights = kernel_param_grad(np.zeros((2, 64)), params, cfg, kern.normalizer)
+        np.testing.assert_array_equal(dweights, np.zeros_like(params.weights))
 
     def test_single_scale_is_scaled_identity(self):
         cfg = KernelConfig(seq_len=8, scale_dim=8, channels=1)
         params, kern = init_kernel(cfg, np.random.default_rng(8))
         dk = np.arange(8.0)[None, :]
-        bundle = kernel_param_grad(dk, params, cfg, kern.normalizer)
+        dweights = kernel_param_grad(dk, params, cfg, kern.normalizer)
         np.testing.assert_allclose(
-            bundle.d_weights[0, 0], (cfg.decay_alpha**0) * dk[0] / kern.normalizer[0]
+            dweights[0, 0], (cfg.decay_alpha**0) * dk[0] / kern.normalizer[0]
         )
 
     @pytest.mark.parametrize("mode", ["concat", "disentangled"])
@@ -164,8 +179,8 @@ class TestKernelParamGrad:
             return 0.5 * float((vals**2).sum())
 
         dk = materialize(params, cfg, normalizer=z).values
-        bundle = kernel_param_grad(dk, params, cfg, z)
-        assert finite_diff_check(loss_fn, params, bundle) < 1e-5
+        dweights = kernel_param_grad(dk, params, cfg, z)
+        assert finite_diff_check(loss_fn, params, dweights) < 1e-5
 
     def test_per_channel_alpha_gradient(self):
         cfg = KernelConfig(seq_len=128, scale_dim=8, channels=4, init="cosine", mode="concat")
@@ -178,8 +193,8 @@ class TestKernelParamGrad:
             return 0.5 * float((vals**2).sum())
 
         dk = materialize(params, cfg, normalizer=z).values
-        bundle = kernel_param_grad(dk, params, cfg, z)
-        assert finite_diff_check(loss_fn, params, bundle) < 1e-5
+        dweights = kernel_param_grad(dk, params, cfg, z)
+        assert finite_diff_check(loss_fn, params, dweights) < 1e-5
 
     def test_truncated_tail_gets_zero_gradient(self):
         # L=100, d=8 covers 128: positions beyond 100 must not contribute
@@ -192,8 +207,8 @@ class TestKernelParamGrad:
             return float(vals.sum())
 
         dk = np.ones((1, 100))
-        bundle = kernel_param_grad(dk, params, cfg, z)
-        assert finite_diff_check(loss_fn, params, bundle) < 1e-6
+        dweights = kernel_param_grad(dk, params, cfg, z)
+        assert finite_diff_check(loss_fn, params, dweights) < 1e-6
 
     def test_rejects_missing_or_bad_normalizer(self):
         cfg = KernelConfig(seq_len=64, scale_dim=8, channels=2)
@@ -215,8 +230,8 @@ class TestFiniteDiffCheck:
             return 0.5 * float((vals**2).sum())
 
         dk = materialize(params, cfg, normalizer=z).values
-        bundle = kernel_param_grad(dk, params, cfg, z)
-        assert finite_diff_check(loss_fn, params, bundle) < 1e-6
+        dweights = kernel_param_grad(dk, params, cfg, z)
+        assert finite_diff_check(loss_fn, params, dweights) < 1e-6
 
     def test_linear_loss_is_exact(self):
         cfg = KernelConfig(seq_len=64, scale_dim=4, channels=1)
@@ -227,15 +242,14 @@ class TestFiniteDiffCheck:
             return float(materialize(p, cfg, normalizer=z).values.sum())
 
         dk = np.ones((1, 64))
-        bundle = kernel_param_grad(dk, params, cfg, z)
-        assert finite_diff_check(loss_fn, params, bundle) < 1e-9
+        dweights = kernel_param_grad(dk, params, cfg, z)
+        assert finite_diff_check(loss_fn, params, dweights) < 1e-9
 
     def test_rejects_zero_eps(self):
         cfg = KernelConfig(seq_len=16, scale_dim=4, channels=1)
         params = init_params(cfg)
-        bundle = GradBundle(d_weights=np.zeros_like(params.weights))
         with pytest.raises(ValueError):
-            finite_diff_check(lambda p: 0.0, params, bundle, eps=0.0)
+            finite_diff_check(lambda p: 0.0, params, np.zeros_like(params.weights), eps=0.0)
 
     def test_subsamples_large_parameter_sets(self):
         cfg = KernelConfig(seq_len=4096, scale_dim=64, channels=8)
@@ -248,7 +262,6 @@ class TestFiniteDiffCheck:
             calls += 1
             return float(p.weights.sum())
 
-        bundle = GradBundle(d_weights=np.ones_like(params.weights))
-        err = finite_diff_check(loss_fn, params, bundle, max_coords=200)
+        err = finite_diff_check(loss_fn, params, np.ones_like(params.weights), max_coords=200)
         assert calls == 400  # two evaluations per probed coordinate
         assert err < 1e-9

@@ -4,8 +4,6 @@ import pytest
 from sgconv.kernel import (
     KernelConfig,
     ScaleParams,
-    build_kernel_concat,
-    build_kernel_disentangled,
     compute_normalizer,
     init_kernel,
     init_params,
@@ -156,7 +154,7 @@ class TestBuildConcat:
         rng = np.random.default_rng(11)
         cfg = KernelConfig(seq_len=1024, scale_dim=8, channels=3, decay_alpha=0.5)
         params = init_params(cfg, rng)
-        kern = build_kernel_concat(params, cfg)
+        kern = materialize(params, cfg)
         ref = loop_build(params.weights, cfg)
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
         np.testing.assert_allclose(kern.values, ref, atol=1e-13)
@@ -165,7 +163,7 @@ class TestBuildConcat:
         rng = np.random.default_rng(12)
         cfg = KernelConfig(seq_len=100, scale_dim=8, channels=2, decay_alpha=0.7)
         params = init_params(cfg, rng)
-        kern = build_kernel_concat(params, cfg)
+        kern = materialize(params, cfg)
         ref = loop_build(params.weights, cfg)
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
         np.testing.assert_allclose(kern.values, ref, atol=1e-13)
@@ -174,7 +172,7 @@ class TestBuildConcat:
         rng = np.random.default_rng(13)
         cfg = KernelConfig(seq_len=256, scale_dim=8, channels=2, decay_alpha=0.5)
         params = init_params(cfg, rng)
-        kern = build_kernel_concat(params, cfg)
+        kern = materialize(params, cfg)
         offset = 0
         for i in range(cfg.num_scales):
             li = sub_kernel_len(i, 8)
@@ -190,13 +188,7 @@ class TestBuildConcat:
         cfg = KernelConfig(seq_len=16, scale_dim=2, channels=1)
         bad = ScaleParams(weights=np.ones((1, 3, 2)))
         with pytest.raises(ValueError):
-            build_kernel_concat(bad, cfg)
-
-    def test_rejects_wrong_mode(self):
-        cfg = KernelConfig(seq_len=16, scale_dim=2, mode="disentangled")
-        params = init_params(cfg)
-        with pytest.raises(ValueError):
-            build_kernel_concat(params, cfg)
+            materialize(bad, cfg)
 
 
 class TestBuildDisentangled:
@@ -205,8 +197,8 @@ class TestBuildDisentangled:
         c_flat = KernelConfig(seq_len=64, scale_dim=4, channels=2, mode="disentangled", decay_t=0.0)
         c_one = KernelConfig(seq_len=64, scale_dim=4, channels=2, mode="concat", decay_alpha=1.0)
         params = init_params(c_flat, rng)
-        k_flat = build_kernel_disentangled(params, c_flat)
-        k_one = build_kernel_concat(params, c_one)
+        k_flat = materialize(params, c_flat)
+        k_one = materialize(params, c_one)
         np.testing.assert_allclose(k_flat.values, k_one.values, atol=1e-15)
 
     def test_decay_vector_t1(self):
@@ -221,7 +213,7 @@ class TestBuildDisentangled:
         rng = np.random.default_rng(22)
         cfg = KernelConfig(seq_len=256, scale_dim=8, channels=2, mode="disentangled", decay_t=2.0)
         params = init_params(cfg, rng)
-        kern = build_kernel_disentangled(params, cfg)
+        kern = materialize(params, cfg)
         ref = loop_build(params.weights, cfg)
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
         np.testing.assert_allclose(kern.values, ref, atol=1e-13)
@@ -278,8 +270,8 @@ class TestInvariants:
     def test_builders_are_pure(self):
         cfg = KernelConfig(seq_len=96, scale_dim=8, channels=2)
         params = init_params(cfg, np.random.default_rng(50))
-        k1 = build_kernel_concat(params, cfg)
-        k2 = build_kernel_concat(params, cfg)
+        k1 = materialize(params, cfg)
+        k2 = materialize(params, cfg)
         np.testing.assert_array_equal(k1.values, k2.values)
         np.testing.assert_array_equal(k1.normalizer, k2.normalizer)
 

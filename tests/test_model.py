@@ -85,15 +85,6 @@ class TestBlock:
                 make_plan(cfg.seq_len),
             )
 
-    def test_mix_dim_must_match_channels(self):
-        with pytest.raises(ValueError):
-            tiny_config().block_config().__class__(
-                channels=8,
-                seq_len=64,
-                kernel=tiny_config().kernel_config(),
-                mix_dim=4,
-            )
-
 
 class TestClassifier:
     def test_untrained_loss_near_chance(self):
@@ -291,6 +282,27 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_rejects_truncated_file(self, tmp_path):
+        cfg = tiny_config(n_blocks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(cfg, np.random.default_rng(22)), cfg)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-12])
+        with pytest.raises(ValueError, match=f"expected {len(blob)} bytes, got {len(blob) - 12}"):
+            load_checkpoint(path)
+        path.write_bytes(blob[:20])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        cfg = tiny_config(n_blocks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(cfg, np.random.default_rng(23)), cfg)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\x00" * 8)
+        with pytest.raises(ValueError, match=f"expected {len(blob)} bytes, got {len(blob) + 8}"):
             load_checkpoint(path)
 
     def test_resume_continues_training(self, tmp_path):
