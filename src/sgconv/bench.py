@@ -27,9 +27,13 @@ DIRECT_BLOCK = 1024
 
 # In a fresh process the first multithreaded BLAS calls can run ~20x slower
 # for about a second (on a 2-core host: L=1024 attention at 64 ms per call
-# instead of 3 ms, for 0.96 s), so each callable warms up for at least
-# WARMUP_FLOOR_S.
+# instead of 3 ms, for 0.96 s), so a callable whose first call takes at
+# least WARMUP_SLOW_CALL_S warms up for at least WARMUP_FLOOR_S.  Faster
+# callables (tiny geometries run in tens of microseconds) skip that floor.
+# Warm-up ends once two consecutive calls agree within WARMUP_AGREE, or at
+# WARMUP_CAP_S.
 WARMUP_FLOOR_S = 1.5
+WARMUP_SLOW_CALL_S = 1e-3
 WARMUP_AGREE = 0.10
 WARMUP_CAP_S = 10.0
 
@@ -120,15 +124,17 @@ def _make_callable(impl: str, seq_len: int, channels: int, batch: int, dtype, rn
 def _time_reps(fn, reps: int, warmup: int) -> np.ndarray:
     """Time reps calls in ms after `warmup` calls and the WARMUP_* warm-up."""
     start = time.perf_counter()
-    calls, prev, last = 0, None, None
+    calls, prev, last, floor = 0, None, None, None
     while True:
         t0 = time.perf_counter()
         fn()
         t1 = time.perf_counter()
         calls, prev, last = calls + 1, last, t1 - t0
+        if floor is None:
+            floor = WARMUP_FLOOR_S if last >= WARMUP_SLOW_CALL_S else 0.0
         spent = t1 - start
         agree = prev is not None and abs(last - prev) <= WARMUP_AGREE * max(last, prev)
-        if calls >= warmup and (spent >= WARMUP_CAP_S or (spent >= WARMUP_FLOOR_S and agree)):
+        if calls >= warmup and (spent >= WARMUP_CAP_S or (spent >= floor and agree)):
             break
     times = np.empty(reps)
     for i in range(reps):

@@ -101,6 +101,8 @@ RUN_FLAGS = {
     "lr": ("--lr", {"type": float}),
     "channels": ("--channels", {"type": int}),
 }
+# ModelConfig fields fixed by the task flags; a resumed checkpoint must agree.
+TASK_FIELDS = ("seq_len", "classes", "vocab_size", "in_channels")
 RUN_DEFAULTS = {"task": "first-token-recall", "classes": 8, "batch_size": 32, "channels": 32}
 
 
@@ -304,10 +306,19 @@ def cmd_train(args) -> int:
     initial = None
     if opts["resume"]:
         try:
-            initial, model_cfg = model_mod.load_checkpoint(opts["resume"])
+            initial, saved_cfg = model_mod.load_checkpoint(opts["resume"])
         except (OSError, ValueError) as exc:
             print(f"cannot resume from {opts['resume']}: {exc}", file=sys.stderr)
             return 2
+        clash = [
+            f"{f} is {getattr(saved_cfg, f)} in the checkpoint, {getattr(model_cfg, f)} for this task"
+            for f in TASK_FIELDS
+            if getattr(saved_cfg, f) != getattr(model_cfg, f)
+        ]
+        if clash:
+            print(f"cannot resume from {opts['resume']}: {'; '.join(clash)}", file=sys.stderr)
+            return 2
+        model_cfg = saved_cfg
     train_cfg = model_mod.TrainConfig(
         steps=opts["steps"],
         batch_size=opts["batch_size"],

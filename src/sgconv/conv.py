@@ -77,7 +77,8 @@ def depthwise_conv_batch(x: np.ndarray, kernel, plan: ConvPlan) -> np.ndarray:
     m = plan.fft_size
     kf = np.fft.rfft(kv.astype(x.dtype, copy=False), n=m)
     xf = np.fft.rfft(x, n=m)
-    y = np.fft.irfft(xf * kf[None, :, :], n=m)[..., : plan.seq_len]
+    xf *= kf[None, :, :]
+    y = np.fft.irfft(xf, n=m)[..., : plan.seq_len]
     return y.astype(x.dtype, copy=False)
 
 

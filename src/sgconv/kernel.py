@@ -34,7 +34,6 @@ class KernelConfig:
         decay_alpha: geometric decay coefficient, concat mode only, in (0, 1].
         decay_t: position-decay exponent, disentangled mode only, >= 0.
         init: "gaussian" or "cosine" parameter initialization.
-        init_sigma: std-dev of the gaussian init (pre-normalization).
         seed: RNG seed used when no generator is supplied.
     """
 
@@ -45,7 +44,6 @@ class KernelConfig:
     decay_alpha: float = 0.5
     decay_t: float = 1.0
     init: str = "gaussian"
-    init_sigma: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -248,7 +246,7 @@ def materialize(
 def init_params(config: KernelConfig, rng: np.random.Generator | None = None) -> ScaleParams:
     """Draw initial ScaleParams; deterministic given the seed.
 
-    gaussian: i.i.d. Normal(0, sigma**2) entries.  cosine: each channel's
+    gaussian: i.i.d. standard normal entries.  cosine: each channel's
     per-scale vector samples cos(2*pi*f_h*x) on d grid points x in [0, 1],
     with f_h log-uniform in [1, max(1, d/2)]; in concat mode each channel
     also receives a fixed decay coefficient drawn uniformly from [1/3, 1].
@@ -258,7 +256,7 @@ def init_params(config: KernelConfig, rng: np.random.Generator | None = None) ->
     H, N, d = config.channels, config.num_scales, config.scale_dim
     alphas = None
     if config.init == "gaussian":
-        weights = rng.normal(0.0, config.init_sigma, size=(H, N, d))
+        weights = rng.normal(0.0, 1.0, size=(H, N, d))
     else:
         f_hi = max(1.0, d / 2.0)
         freqs = np.exp(rng.uniform(0.0, np.log(f_hi), size=H))

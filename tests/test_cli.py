@@ -176,7 +176,7 @@ class TestTrainCommand:
         assert "non-finite gradient in block0.weights at step 1" in err
         assert not (tmp_path / "nan.ckpt").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "renamed"])
     def test_resume_rejects_damaged_checkpoint(self, damage, tmp_path, capsys):
         args = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
                 "--steps", "2", "--batch-size", "4", "--channels", "8", "--blocks", "1",
@@ -184,13 +184,47 @@ class TestTrainCommand:
         run_cli(*args, "--out", str(tmp_path / "base"))
         ckpt = tmp_path / "base.ckpt"
         blob = ckpt.read_bytes()
-        ckpt.write_bytes(blob[:-5] if damage == "truncated" else blob + b"\x00")
+        damaged, message = {
+            "truncated": (blob[:-5], f"expected {len(blob)} bytes"),
+            "trailing": (blob + b"\x00", f"expected {len(blob)} bytes"),
+            "renamed": (blob.replace(b'"head_b"', b'"head_c"'), "unexpected tensor 'head_c'"),
+        }[damage]
+        ckpt.write_bytes(damaged)
         capsys.readouterr()
         rc = run_cli(*args, "--resume", str(ckpt), "--out", str(tmp_path / "again"))
         assert rc == 2
         err = capsys.readouterr().err
-        assert "cannot resume" in err and f"expected {len(blob)} bytes" in err
+        assert "cannot resume" in err and message in err
         assert not (tmp_path / "again.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (("--len", "128", "--classes", "8"), ["seq_len is 64 in the checkpoint, 128"]),
+            (("--len", "64", "--classes", "4"),
+             ["classes is 8 in the checkpoint, 4", "vocab_size is 16 in the checkpoint, 12"]),
+        ],
+    )
+    def test_resume_rejects_another_task(self, tmp_path, capsys, flags, fields):
+        common = ["train", "--task", "first-token-recall", "--steps", "2", "--batch-size", "4",
+                  "--channels", "8", "--blocks", "1", "--scale-dim", "4"]
+        assert run_cli(*common, "--len", "64", "--classes", "8",
+                       "--out", str(tmp_path / "base")) == 0
+        capsys.readouterr()
+        rc = run_cli(*common, *flags, "--resume", str(tmp_path / "base.ckpt"),
+                     "--out", str(tmp_path / "again"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(field in err for field in fields), err
+        assert not (tmp_path / "again.jsonl").exists()
+
+    def test_resume_accepts_matching_task(self, tmp_path):
+        common = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
+                  "--steps", "2", "--batch-size", "4", "--channels", "8", "--blocks", "1",
+                  "--scale-dim", "4"]
+        assert run_cli(*common, "--out", str(tmp_path / "base")) == 0
+        assert run_cli(*common, "--resume", str(tmp_path / "base.ckpt"),
+                       "--out", str(tmp_path / "again")) == 0
 
 
 class TestAblateCommand:

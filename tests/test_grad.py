@@ -11,6 +11,7 @@ from sgconv.grad import (
 from sgconv.kernel import (
     KernelConfig,
     ScaleParams,
+    _interp_indices,
     init_kernel,
     init_params,
     materialize,
@@ -148,6 +149,17 @@ class TestUpsampleAdjoint:
     def test_rejects_shorter_gradient(self):
         with pytest.raises(ValueError):
             upsample_adjoint(np.zeros(3), 5)
+
+    @pytest.mark.parametrize("d, l", [(2, 3), (8, 1024), (8, 8192)])
+    def test_matches_scatter_add(self, d, l):
+        # the former implementation: two np.add.at scatters onto the knots
+        g = np.random.default_rng(d + l).standard_normal((3, l))
+        lo, hi, frac = _interp_indices(d, l)
+        expect = np.zeros((3, d))
+        rows = np.arange(3)[:, None]
+        np.add.at(expect, (rows, lo[None, :]), g * (1.0 - frac))
+        np.add.at(expect, (rows, hi[None, :]), g * frac)
+        np.testing.assert_array_equal(upsample_adjoint(g, d), expect)
 
 
 class TestKernelParamGrad:

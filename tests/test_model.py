@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from sgconv.model import (
     TrainConfig,
     TrainingDiverged,
     _act,
+    _act_grad,
+    _buffer_items,
+    _embed_grad,
     _param_items,
     block_forward,
     classifier_backward,
@@ -84,6 +89,53 @@ class TestBlock:
                 cfg.block_config(),
                 make_plan(cfg.seq_len),
             )
+
+
+class TestActivation:
+    """GELU against the former pow-based formula, kept here as the reference."""
+
+    C = np.sqrt(2.0 / np.pi)
+    X = np.concatenate([
+        [0.0, 1e-8, -1e-8, 1.0, -1.0, 50.0, -50.0],
+        np.linspace(-60.0, 60.0, 24001),
+        np.random.default_rng(30).standard_normal(10000) * 3.0,
+    ])
+
+    def reference(self, x):
+        th = np.tanh(self.C * (x + 0.044715 * x**3))
+        value = 0.5 * x * (1.0 + th)
+        grad = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * self.C * (1.0 + 3 * 0.044715 * x**2)
+        return value, grad
+
+    def test_gelu_and_grad_match_pow_formula(self):
+        # relative to max(|ref|, 1): where 1 + tanh saturates (x < -3) the
+        # value is below 1e-4 and both formulas keep only absolute precision
+        value, grad = self.reference(self.X)
+        for got, ref in ((_act("gelu", self.X), value), (_act_grad("gelu", self.X), grad)):
+            err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
+            assert err.max() <= 1e-14
+            np.testing.assert_array_equal(got[:7], ref[:7])
+
+    def test_gelu_leaves_input_untouched(self):
+        x = self.X.copy()
+        _act("gelu", x)
+        _act_grad("gelu", x)
+        np.testing.assert_array_equal(x, self.X)
+
+
+class TestEmbedGrad:
+    def test_matches_scatter_add(self):
+        # the former implementation: np.add.at over every (sample, position)
+        rng = np.random.default_rng(31)
+        vocab, channels = 6, 5
+        tokens = rng.integers(0, vocab - 1, size=(4, 50))  # row vocab - 1 never seen
+        dx = rng.standard_normal((4, channels, 50))
+        expect = np.zeros((vocab, channels))
+        np.add.at(expect, tokens, dx.transpose(0, 2, 1))
+        got = _embed_grad(tokens, dx, vocab)
+        np.testing.assert_array_equal(got, expect)
+        assert np.all(got[vocab - 1] == 0.0)
+        assert np.all(np.bincount(tokens.ravel(), minlength=vocab)[: vocab - 1] > 1)
 
 
 class TestClassifier:
@@ -261,6 +313,22 @@ class TestCheckpoint:
             classifier_forward(inputs, state2, cfg2),
         )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(), dict(kernel_init="cosine"), dict(kernel_init="cosine", mode="disentangled")],
+        ids=["gaussian", "cosine-concat", "cosine-disentangled"],
+    )
+    def test_roundtrip_keeps_every_tensor(self, tmp_path, kwargs):
+        spec = TaskSpec(kind="adding_problem", seq_len=32, seed=1)
+        for cfg in (tiny_config(**kwargs), ModelConfig.for_task(spec, channels=4, **kwargs)):
+            state = init_model(cfg, np.random.default_rng(25))
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, state, cfg)
+            state2, _ = load_checkpoint(path)
+            for (name, a), (_, b) in zip(_param_items(state) + _buffer_items(state),
+                                         _param_items(state2) + _buffer_items(state2)):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
     def test_header_layout(self, tmp_path):
         cfg = tiny_config(n_blocks=1)
         state = init_model(cfg, np.random.default_rng(21))
@@ -271,8 +339,6 @@ class TestCheckpoint:
         version = int.from_bytes(blob[4:8], "little")
         assert version == 1
         jlen = int.from_bytes(blob[8:12], "little")
-        import json
-
         header = json.loads(blob[12 : 12 + jlen])
         assert "model" in header and "tensors" in header
         total = sum(int(np.prod(t["shape"])) for t in header["tensors"])
@@ -303,6 +369,36 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob + b"\x00" * 8)
         with pytest.raises(ValueError, match=f"expected {len(blob)} bytes, got {len(blob) + 8}"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def edit_header(path, edit):
+        """Rewrite a checkpoint's JSON header in place, keeping its tensor bytes."""
+        blob = path.read_bytes()
+        jlen = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12 : 12 + jlen])
+        edit(header)
+        new = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + jlen :])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h["tensors"][-1].update(name="head_bias"), "unexpected tensor 'head_bias'"),
+            (lambda h: h["tensors"].pop(), "lacks tensor 'block0.kernel_norm'"),
+            (lambda h: h["tensors"][0].update(shape=[8, 12]),
+             r"tensor 'embed' has shape \(8, 12\), the config implies \(12, 8\)"),
+            (lambda h: h["model"].update(classes=3), r"tensor 'head_w' has shape \(8, 4\)"),
+            (lambda h: h["model"].update(bogus=1), "malformed checkpoint header"),
+        ],
+        ids=["renamed", "missing", "transposed", "config", "unknown-field"],
+    )
+    def test_rejects_tensors_the_config_does_not_imply(self, tmp_path, edit, message):
+        cfg = tiny_config(n_blocks=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(cfg, np.random.default_rng(24)), cfg)
+        self.edit_header(path, edit)
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     def test_resume_continues_training(self, tmp_path):
