@@ -170,10 +170,15 @@ def run_bench(
     direct convolutions impractically slow; raise the cap to force them).
     The summary carries per-impl log-log slopes fitted on the p10 times over
     the lengths actually measured, plus analytic workspace bytes per record.
+    A bad geometry raises ValueError before anything is timed.
     """
     lengths = [int(l) for l in lengths]
     if lengths != sorted(lengths) or len(set(lengths)) != len(lengths):
         raise ValueError(f"lengths must be strictly ascending, got {lengths}")
+    if lengths and lengths[0] < 1:
+        raise ValueError(f"lengths must be >= 1, got {lengths}")
+    if channels < 1 or batch < 1:
+        raise ValueError(f"channels and batch must be >= 1, got {channels} and {batch}")
     if reps < MIN_REPS:
         raise ValueError(f"reps must be >= {MIN_REPS}, got {reps}")
     for impl in impls:

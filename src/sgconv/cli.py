@@ -11,6 +11,7 @@ import argparse
 import json
 import os.path
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,6 +32,21 @@ KEY_ALIASES = {"len": "seq_len", "alpha": "decay_alpha", "t": "decay_t"}
 
 # defaults of the flags that _add_common gives every command
 COMMON_DEFAULTS = {"seed": 0, "precision": "f64"}
+
+
+class BadInput(Exception):
+    """An option value, flag combination or config file a command cannot use."""
+
+
+@contextmanager
+def _options():
+    """Report a ValueError or OSError raised while a command resolves its
+    options and builds its configs as BadInput (exit 2).  Errors raised by
+    the run itself are left alone."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise BadInput(str(exc)) from exc
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -68,7 +84,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
             if key in resolved:
-                resolved[key] = _coerce(raw, defaults[key])
+                try:
+                    resolved[key] = _coerce(raw, defaults[key])
+                except ValueError:
+                    raise ValueError(f"{args.config}: bad value for {key}: {raw!r}") from None
     for key in resolved:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
@@ -170,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    opts = _resolve(args, {"filter": None, "out": None})
+    with _options():
+        opts = _resolve(args, {"filter": None, "out": None})
     results = verify_mod.run_suites(opts["filter"], precision=opts["precision"])
     all_ok = True
     lines = []
@@ -189,30 +209,32 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    opts = _resolve(
-        args,
-        {
-            "precision": "f32",
-            "out": "bench.csv",
-            "lengths": bench_mod.DEFAULT_LENGTHS,
-            "channels": 128,
-            "batch": 64,
-            "reps": bench_mod.MIN_REPS,
-            "direct_cap": bench_mod.DEFAULT_DIRECT_CAP,
-            "impls": bench_mod.IMPLS,
-        },
-    )
+    with _options():
+        opts = _resolve(
+            args,
+            {
+                "precision": "f32",
+                "out": "bench.csv",
+                "lengths": bench_mod.DEFAULT_LENGTHS,
+                "channels": 128,
+                "batch": 64,
+                "reps": bench_mod.MIN_REPS,
+                "direct_cap": bench_mod.DEFAULT_DIRECT_CAP,
+                "impls": bench_mod.IMPLS,
+            },
+        )
     dtype = np.float64 if opts["precision"] == "f64" else np.float32
-    records, summary = bench_mod.run_bench(
-        lengths=opts["lengths"],
-        channels=opts["channels"],
-        batch=opts["batch"],
-        reps=opts["reps"],
-        impls=opts["impls"],
-        direct_cap=opts["direct_cap"],
-        dtype=dtype,
-        seed=opts["seed"],
-    )
+    with _options():  # run_bench checks its geometry before timing anything
+        records, summary = bench_mod.run_bench(
+            lengths=opts["lengths"],
+            channels=opts["channels"],
+            batch=opts["batch"],
+            reps=opts["reps"],
+            impls=opts["impls"],
+            direct_cap=opts["direct_cap"],
+            dtype=dtype,
+            seed=opts["seed"],
+        )
     out = opts["out"]
     bench_mod.write_bench_csv(records, out)
     summary_path = os.path.splitext(str(out))[0] + ".json"
@@ -228,32 +250,32 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_kernel(args) -> int:
-    opts = _resolve(
-        args,
-        {
-            "out": "kernel.csv",
-            "seq_len": 4096,
-            "scale_dim": 32,
-            "decay_alpha": 0.5,
-            "decay_t": 1.0,
-            "channels": 1,
-            "mode": "concat",
-            "init": "gaussian",
-        },
-    )
-    if opts["precision"] != "f64":
-        print("dump-kernel always materializes in f64", file=sys.stderr)
-        return 2
-    cfg = KernelConfig(
-        seq_len=opts["seq_len"],
-        scale_dim=opts["scale_dim"],
-        channels=opts["channels"],
-        mode=opts["mode"],
-        decay_alpha=opts["decay_alpha"],
-        decay_t=opts["decay_t"],
-        init=opts["init"],
-        seed=opts["seed"],
-    )
+    with _options():
+        opts = _resolve(
+            args,
+            {
+                "out": "kernel.csv",
+                "seq_len": 4096,
+                "scale_dim": 32,
+                "decay_alpha": 0.5,
+                "decay_t": 1.0,
+                "channels": 1,
+                "mode": "concat",
+                "init": "gaussian",
+            },
+        )
+        cfg = KernelConfig(
+            seq_len=opts["seq_len"],
+            scale_dim=opts["scale_dim"],
+            channels=opts["channels"],
+            mode=opts["mode"],
+            decay_alpha=opts["decay_alpha"],
+            decay_t=opts["decay_t"],
+            init=opts["init"],
+            seed=opts["seed"],
+        )
+        if opts["precision"] != "f64":
+            raise ValueError("kernels are materialized in f64 only")
     _, kern = init_kernel(cfg, np.random.default_rng(opts["seed"]))
     write_kernel_csv(kern, opts["out"])
     print(f"wrote {opts['out']} ({cfg.channels} channels x {cfg.seq_len} positions, "
@@ -272,37 +294,45 @@ def _task_from_opts(opts) -> tasks_mod.TaskSpec:
 
 
 def cmd_train(args) -> int:
-    opts = _resolve(
-        args,
-        {
-            **RUN_DEFAULTS,
-            "out": "run",
-            "seq_len": 1024,
-            "steps": 500,
-            "lr": 3e-2,
-            "optimizer": "adam",
-            "blocks": 1,
-            "scale_dim": 8,
-            "mode": "concat",
-            "decay_alpha": 0.5,
-            "decay_t": 1.0,
-            "eval_every": 50,
-            "resume": None,
-        },
-    )
-    if opts["precision"] != "f64":
-        print("train runs in f64", file=sys.stderr)
-        return 2
-    spec = _task_from_opts(opts)
-    model_cfg = model_mod.ModelConfig.for_task(
-        spec,
-        channels=opts["channels"],
-        n_blocks=opts["blocks"],
-        scale_dim=opts["scale_dim"],
-        mode=opts["mode"],
-        decay_alpha=opts["decay_alpha"],
-        decay_t=opts["decay_t"],
-    )
+    with _options():
+        opts = _resolve(
+            args,
+            {
+                **RUN_DEFAULTS,
+                "out": "run",
+                "seq_len": 1024,
+                "steps": 500,
+                "lr": 3e-2,
+                "optimizer": "adam",
+                "blocks": 1,
+                "scale_dim": 8,
+                "mode": "concat",
+                "decay_alpha": 0.5,
+                "decay_t": 1.0,
+                "eval_every": 50,
+                "resume": None,
+            },
+        )
+        spec = _task_from_opts(opts)
+        model_cfg = model_mod.ModelConfig.for_task(
+            spec,
+            channels=opts["channels"],
+            n_blocks=opts["blocks"],
+            scale_dim=opts["scale_dim"],
+            mode=opts["mode"],
+            decay_alpha=opts["decay_alpha"],
+            decay_t=opts["decay_t"],
+        )
+        train_cfg = model_mod.TrainConfig(
+            steps=opts["steps"],
+            batch_size=opts["batch_size"],
+            lr=opts["lr"],
+            optimizer=opts["optimizer"],
+            seed=opts["seed"],
+            eval_every=opts["eval_every"],
+        )
+        if opts["precision"] != "f64":
+            raise ValueError("training runs in f64 only")
     initial = None
     if opts["resume"]:
         try:
@@ -319,14 +349,6 @@ def cmd_train(args) -> int:
             print(f"cannot resume from {opts['resume']}: {'; '.join(clash)}", file=sys.stderr)
             return 2
         model_cfg = saved_cfg
-    train_cfg = model_mod.TrainConfig(
-        steps=opts["steps"],
-        batch_size=opts["batch_size"],
-        lr=opts["lr"],
-        optimizer=opts["optimizer"],
-        seed=opts["seed"],
-        eval_every=opts["eval_every"],
-    )
     try:
         result = model_mod.train(spec, model_cfg, train_cfg, state=initial)
     except model_mod.TrainingDiverged as exc:
@@ -346,34 +368,44 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    opts = _resolve(
-        args,
-        {
-            **RUN_DEFAULTS,
-            "out": "ablation.csv",
-            "seq_len": 256,
-            "steps": 200,
-            "lr": 2e-2,
-            "seeds": 1,
-            "t_sweep": DEFAULT_T_SWEEP,
-            "d_sweep": DEFAULT_D_SWEEP,
-            "fixed_d": DEFAULT_FIXED_D,
-            "fixed_t": DEFAULT_FIXED_T,
-        },
-    )
-    if opts["precision"] != "f64":
-        print("ablate runs in f64", file=sys.stderr)
-        return 2
-    spec = _task_from_opts(opts)
-    grid = [(t, opts["fixed_d"]) for t in opts["t_sweep"]]
-    grid += [(opts["fixed_t"], d) for d in opts["d_sweep"]]
-    train_cfg = model_mod.TrainConfig(
-        steps=opts["steps"],
-        batch_size=opts["batch_size"],
-        lr=opts["lr"],
-        eval_every=max(1, opts["steps"] // 2),
-        seed=opts["seed"],
-    )
+    with _options():
+        opts = _resolve(
+            args,
+            {
+                **RUN_DEFAULTS,
+                "out": "ablation.csv",
+                "seq_len": 256,
+                "steps": 200,
+                "lr": 2e-2,
+                "seeds": 1,
+                "t_sweep": DEFAULT_T_SWEEP,
+                "d_sweep": DEFAULT_D_SWEEP,
+                "fixed_d": DEFAULT_FIXED_D,
+                "fixed_t": DEFAULT_FIXED_T,
+            },
+        )
+        spec = _task_from_opts(opts)
+        grid = [(t, opts["fixed_d"]) for t in opts["t_sweep"]]
+        grid += [(opts["fixed_t"], d) for d in opts["d_sweep"]]
+        for t, d in grid:  # the grid point configs ablate_decay will build
+            model_mod.ModelConfig.for_task(
+                spec,
+                channels=opts["channels"],
+                scale_dim=int(d),
+                mode="disentangled",
+                decay_t=float(t),
+            )
+        if opts["seeds"] < 1:
+            raise ValueError(f"seeds must be >= 1, got {opts['seeds']}")
+        train_cfg = model_mod.TrainConfig(
+            steps=opts["steps"],
+            batch_size=opts["batch_size"],
+            lr=opts["lr"],
+            eval_every=max(1, opts["steps"] // 2),
+            seed=opts["seed"],
+        )
+        if opts["precision"] != "f64":
+            raise ValueError("ablation runs in f64 only")
     seeds = tuple(opts["seed"] + i for i in range(opts["seeds"]))
     rows = model_mod.ablate_decay(
         spec, grid, train_cfg, channels=opts["channels"], seeds=seeds
@@ -401,7 +433,11 @@ def main(argv=None) -> int:
         "train": cmd_train,
         "ablate": cmd_ablate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except BadInput as exc:
+        print(f"sgconv {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

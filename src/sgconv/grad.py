@@ -45,8 +45,12 @@ def depthwise_conv_adjoint_batch(
     kf = np.fft.rfft(kv, n=m)
     xf = np.fft.rfft(x, n=m)
     dyf = np.fft.rfft(dy, n=m)
-    dx = np.fft.irfft(np.conj(kf)[None] * dyf, n=m)[..., : plan.seq_len]
-    dk = np.fft.irfft((np.conj(xf) * dyf).sum(axis=0), n=m)[..., : plan.seq_len]
+    # Spectral products in place: conj(xf)*dyf is summed into dk before dyf
+    # is overwritten with conj(kf)*dyf for dx.
+    xf = np.multiply(np.conjugate(xf, out=xf), dyf, out=xf)
+    dk = np.fft.irfft(xf.sum(axis=0), n=m)[..., : plan.seq_len]
+    dyf = np.multiply(np.conj(kf)[None], dyf, out=dyf)
+    dx = np.fft.irfft(dyf, n=m)[..., : plan.seq_len]
     return dx, dk
 
 

@@ -86,6 +86,7 @@ class ModelConfig:
             raise ValueError("n_blocks must be >= 1")
         if self.classes < 1:
             raise ValueError("classes must be >= 1")
+        self.kernel_config()  # rejects a bad seq_len, channels or kernel field now
 
     def kernel_config(self) -> KernelConfig:
         return KernelConfig(
@@ -211,15 +212,26 @@ def init_model(
     return state
 
 
+# Elementwise chains (GELU, its derivative, layer norm and its adjoint) run
+# one sample x[b] at a time, so each chain's temporaries stay in cache
+# instead of streaming every (B, H, L) intermediate through DRAM.  Layer norm
+# reduces over the channels, which a sample keeps whole, so the per-sample
+# results are bit-identical to whole-batch ones.
+def _samples(x: np.ndarray):
+    """Indices of the pieces an elementwise chain runs over: each sample of
+    a (B, H, L) batch, or the whole array for any other shape."""
+    return range(x.shape[0]) if x.ndim == 3 else (Ellipsis,)
+
+
 # Tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3))).  The cube is
 # built by multiplication: x**3 goes through pow, some 40x slower per element.
 GELU_C = np.sqrt(2.0 / np.pi)
 GELU_A = 0.044715
 
 
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(c*(x + a*x^3)) in one fresh array, updated in place."""
-    t = x * x
+def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c*(x + a*x^3)) written into out."""
+    t = np.multiply(x, x, out=out)
     t *= x
     t *= GELU_A
     t += x
@@ -227,13 +239,23 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _act(name: str, x: np.ndarray) -> np.ndarray:
+def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of x, written into out (a new array laid out like x by default)."""
+    if out is None:
+        out = np.empty_like(x)
     if name == "relu":
-        return np.maximum(x, 0.0)
-    out = _gelu_tanh(x)
-    out += 1.0
-    out *= x
-    out *= 0.5
+        return np.maximum(x, 0.0, out=out)
+    for t in _samples(x):
+        xt, ot = x[t], out[t]
+        if xt.strides[-1] != ot.strides[-1]:
+            # x and out are laid out along different axes: the chain reads x
+            # twice more, so give it a copy laid out like out
+            xt = np.empty_like(ot)
+            xt[...] = x[t]
+        o = _gelu_tanh(xt, ot)
+        o += 1.0
+        o *= xt
+        o *= 0.5
     return out
 
 
@@ -241,19 +263,22 @@ def _act_grad(name: str, x: np.ndarray) -> np.ndarray:
     """Derivative 0.5*(1 + th) + 0.5*x*(1 - th^2)*c*(1 + 3a*x^2), th the GELU tanh."""
     if name == "relu":
         return (x > 0.0).astype(x.dtype)
-    th = _gelu_tanh(x)
-    q = th * th
-    np.subtract(1.0, q, out=q)
-    q *= x
-    q *= GELU_C
-    poly = x * x
-    poly *= 3 * GELU_A
-    poly += 1.0
-    q *= poly
-    th += 1.0
-    th += q
-    th *= 0.5
-    return th
+    out = np.empty_like(x)
+    for t in _samples(x):
+        xt = x[t]
+        th = _gelu_tanh(xt, out[t])
+        q = th * th
+        np.subtract(1.0, q, out=q)
+        q *= xt
+        q *= GELU_C
+        poly = xt * xt
+        poly *= 3 * GELU_A
+        poly += 1.0
+        q *= poly
+        th += 1.0
+        th += q
+        th *= 0.5
+    return out
 
 
 def block_forward(
@@ -273,18 +298,37 @@ def block_forward(
         raise ValueError(
             f"input must have shape (B, {bcfg.channels}, {bcfg.seq_len}), got {x.shape}"
         )
-    mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc**2).mean(axis=1, keepdims=True) + LN_EPS)
-    xhat = xc * inv
-    h = bp.gamma[None, :, None] * xhat + bp.beta[None, :, None]
+    # Layer norm, sample by sample.  The channel sums run over xc, a temporary
+    # in x's own memory layout, so they add in the same order as over the
+    # whole batch; xhat (kept only for the cache) and h are row-major, so the
+    # FFTs read h contiguously.
+    xhat = np.empty(x.shape) if want_cache else None
+    h = np.empty(x.shape)
+    inv = np.empty((x.shape[0], 1, x.shape[2]))
+    gamma = bp.gamma[:, None]
+    beta = bp.beta[:, None]
+    for t in _samples(x):
+        xt = x[t]
+        xc = xt - xt.mean(axis=0)
+        var = (xc * xc).mean(axis=0)
+        var += LN_EPS
+        it = np.divide(1.0, np.sqrt(var, out=var), out=inv[t])
+        xh = np.multiply(xc, it, out=xc if xhat is None else xhat[t])
+        ht = np.multiply(gamma, xh, out=h[t])
+        ht += beta
     kern = materialize(
         ScaleParams(weights=bp.weights, alphas=bp.alphas),
         bcfg.kernel,
         normalizer=bp.kernel_norm,
     )
     c = depthwise_conv_batch(h, kern.values, plan)
-    a = _act(bcfg.activation, c)
+    if want_cache:
+        # c is a view into the conv's 2L-long buffer; the cache keeps a
+        # compact copy instead of the whole buffer.
+        c = c.copy()
+    # a takes the memory layout x arrived in (channels-last for a token
+    # embedding), as the order in which the channel mix adds depends on it.
+    a = _act(bcfg.activation, c, out=np.empty_like(x))
     y = np.matmul(bp.mix_w, a)
     y += bp.mix_b[None, :, None]
     y += x
@@ -307,15 +351,21 @@ def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, bcfg: BlockConf
         bcfg.kernel,
         bp.kernel_norm,
     )
-    xhat = cache["xhat"]
-    dgamma = (dh * xhat).sum(axis=(0, 2))
-    dbeta = dh.sum(axis=(0, 2))
-    dxhat = dh * bp.gamma[None, :, None]
-    dx = dxhat - dxhat.mean(axis=1, keepdims=True)
-    dxhat *= xhat  # now dxhat * xhat
-    dx -= xhat * dxhat.mean(axis=1, keepdims=True)
-    dx *= cache["inv"]
-    dx += dy
+    xhat, inv = cache["xhat"], cache["inv"]
+    gamma = bp.gamma[:, None]
+    dgamma = np.zeros(bcfg.channels)
+    dbeta = np.zeros(bcfg.channels)
+    dx = np.empty(dy.shape)
+    for t in _samples(dy):
+        dht, xt = dh[t], xhat[t]
+        dgamma += (dht * xt).sum(axis=1)
+        dbeta += dht.sum(axis=1)
+        dxhat = dht * gamma
+        dxt = np.subtract(dxhat, dxhat.mean(axis=0), out=dx[t])
+        dxhat *= xt  # now dxhat * xhat
+        dxt -= xt * dxhat.mean(axis=0)
+        dxt *= inv[t]
+        dxt += dy[t]
     grads = {
         "weights": dweights,
         "gamma": dgamma,

@@ -109,10 +109,12 @@ class TestBenchCommand:
         summary = json.loads((tmp_path / "bench.json").read_text())
         assert set(summary["impls"]) == {"conv_direct", "conv_fft", "attn_quadratic"}
 
-    def test_rejects_single_rep(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_cli("bench", "--lengths", "16,32", "--channels", "2", "--batch", "2",
-                    "--reps", "1", "--out", str(tmp_path / "b.csv"))
+    def test_rejects_single_rep(self, tmp_path, capsys):
+        rc = run_cli("bench", "--lengths", "16,32", "--channels", "2", "--batch", "2",
+                     "--reps", "1", "--out", str(tmp_path / "b.csv"))
+        assert rc == 2
+        assert capsys.readouterr().err == "sgconv bench: reps must be >= 5, got 1\n"
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestTrainCommand:
@@ -279,8 +281,49 @@ class TestConfigFile:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 16
 
-    def test_malformed_config_rejected(self, tmp_path):
+    def test_malformed_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this line has no equals sign\n")
-        with pytest.raises(ValueError):
-            run_cli("dump-kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv"))
+        rc = run_cli("dump-kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sgconv dump-kernel: ") and "expected `key = value`" in err
+        assert not (tmp_path / "k.csv").exists()
+
+
+class TestBadInput:
+    """Bad options exit 2 with `sgconv <command>: <message>`, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("train --len 1", "seq_len must be >= 2"),
+            ("train --steps 0", "steps must be >= 1"),
+            ("train --batch-size 0", "batch_size"),
+            ("train --channels 0", "channels must be >= 1"),
+            ("train --lr -1", "lr must be >= 0"),
+            ("train --classes 1", "num_classes must be >= 2"),
+            ("train --task sparse-majority --len 4", "seq_len must be >= 9"),
+            ("train --config noeq.cfg", "expected `key = value`"),
+            ("train --config missing.cfg", "No such file"),
+            ("train --config abc.cfg", "bad value for steps: 'abc'"),
+            ("train --precision f32", "training runs in f64 only"),
+            ("ablate --steps 0", "steps must be >= 1"),
+            ("ablate --seeds 0", "seeds must be >= 1"),
+            ("ablate --len 32", "scale_dim must satisfy"),  # the default d-sweep reaches 64
+            ("dump-kernel --len 0", "seq_len must be positive"),
+            ("bench --lengths 0,16", "lengths must be >= 1"),
+            ("bench --config missing.cfg", "No such file"),
+        ],
+    )
+    def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "noeq.cfg").write_text("steps 5\n")
+        (tmp_path / "abc.cfg").write_text("steps = abc\n")
+        command = argv.split()[0]
+        rc = run_cli(*argv.split(), "--out", "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sgconv {command}: ") and message in err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.cfg", "noeq.cfg"]

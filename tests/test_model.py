@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgconv.conv import depthwise_conv_batch, make_plan
+from sgconv.grad import depthwise_conv_adjoint_batch
 from sgconv.kernel import ScaleParams, materialize
 from sgconv.model import (
     LN_EPS,
@@ -15,6 +16,7 @@ from sgconv.model import (
     _buffer_items,
     _embed_grad,
     _param_items,
+    block_backward,
     block_forward,
     classifier_backward,
     classifier_forward,
@@ -34,6 +36,26 @@ def tiny_config(**kwargs):
     defaults = dict(channels=8, n_blocks=2, scale_dim=4)
     defaults.update(kwargs)
     return ModelConfig.for_task(RECALL, **defaults)
+
+
+def whole_array_layer_norm(x, bp):
+    """Layer norm over the channel axis of the whole array, in the model's
+    operation order."""
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
+    return xhat, inv, bp.gamma[None, :, None] * xhat + bp.beta[None, :, None]
+
+
+def whole_array_layer_norm_adjoint(dh, dy, xhat, inv, bp):
+    """(dx, dgamma, dbeta) of layer norm plus the residual, over the whole array."""
+    dgamma = (dh * xhat).sum(axis=(0, 2))
+    dbeta = dh.sum(axis=(0, 2))
+    dxhat = dh * bp.gamma[None, :, None]
+    dx = dxhat - dxhat.mean(axis=1, keepdims=True)
+    dx -= xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+    return dx * inv + dy, dgamma, dbeta
 
 
 class TestBlock:
@@ -79,6 +101,50 @@ class TestBlock:
         got = block_forward(x, bp, cfg.block_config(), plan)
         np.testing.assert_allclose(got, expect, atol=1e-13)
 
+    @pytest.mark.parametrize("layout", ["row-major", "channels-last"])
+    def test_per_sample_layer_norm_is_bit_identical(self, layout):
+        # 32 channels: enough for numpy to sum a contiguous channel axis
+        # pairwise, so a sample laid out unlike x would round differently
+        cfg = tiny_config(n_blocks=1, channels=32)
+        bp = init_model(cfg, np.random.default_rng(4)).blocks[0]
+        bp.gamma = np.random.default_rng(7).uniform(0.5, 1.5, cfg.channels)
+        bp.beta = np.random.default_rng(8).standard_normal(cfg.channels)
+        x = np.random.default_rng(5).standard_normal((3, cfg.seq_len, cfg.channels))
+        x = x.transpose(0, 2, 1) if layout == "channels-last" else np.ascontiguousarray(x.transpose(0, 2, 1))
+        x_before = x.copy()
+        plan = make_plan(cfg.seq_len)
+        y, cache = block_forward(x, bp, cfg.block_config(), plan, want_cache=True)
+        np.testing.assert_array_equal(block_forward(x, bp, cfg.block_config(), plan), y)
+        xhat, inv, h = whole_array_layer_norm(x, bp)
+        np.testing.assert_array_equal(cache["xhat"], xhat)
+        np.testing.assert_array_equal(cache["inv"], inv)
+        np.testing.assert_array_equal(cache["h"], h)
+        np.testing.assert_array_equal(x, x_before)
+        # the cache holds c itself, not a view into the conv's 2L-long buffer
+        assert cache["c"].base is None and cache["c"].shape == x.shape
+
+    def test_backward_matches_whole_array_layer_norm_adjoint(self):
+        cfg = tiny_config(n_blocks=1)
+        bp = init_model(cfg, np.random.default_rng(9)).blocks[0]
+        bp.gamma = np.random.default_rng(10).uniform(0.5, 1.5, cfg.channels)
+        plan = make_plan(cfg.seq_len)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, cfg.channels, cfg.seq_len))
+        dy = rng.standard_normal(x.shape)
+        _, cache = block_forward(x, bp, cfg.block_config(), plan, want_cache=True)
+        before = {k: v.copy() for k, v in cache.items()}
+        dy_before = dy.copy()
+        dx, grads = block_backward(dy, cache, bp, cfg.block_config(), plan)
+
+        dc = (bp.mix_w.T @ dy) * _act_grad(cfg.activation, cache["c"])
+        dh, _ = depthwise_conv_adjoint_batch(cache["h"], cache["kernel"], dc, plan)
+        expect = whole_array_layer_norm_adjoint(dh, dy, cache["xhat"], cache["inv"], bp)
+        for got, ref in zip((dx, grads["gamma"], grads["beta"]), expect):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(dy, dy_before)
+        for key, value in before.items():
+            np.testing.assert_array_equal(cache[key], value)
+
     def test_rejects_shape_mismatch(self):
         cfg = tiny_config()
         state = init_model(cfg, np.random.default_rng(6))
@@ -121,6 +187,43 @@ class TestActivation:
         _act("gelu", x)
         _act_grad("gelu", x)
         np.testing.assert_array_equal(x, self.X)
+
+    @staticmethod
+    def whole_array(x):
+        """GELU and its derivative over the whole array at once, in the
+        model's operation order."""
+        th = x * x
+        th *= x
+        th *= 0.044715
+        th += x
+        th *= np.sqrt(2.0 / np.pi)
+        th = np.tanh(th)
+        value = (th + 1.0) * x * 0.5
+        q = (1.0 - th * th) * x * np.sqrt(2.0 / np.pi) * (x * x * (3 * 0.044715) + 1.0)
+        return value, (th + 1.0 + q) * 0.5
+
+    def inputs(self):
+        """1-D, contiguous (B, H, L) and a strided [..., :L] view of a 2L buffer."""
+        cube = self.X[: 3 * 8 * 64].reshape(3, 8, 64)
+        wide = np.concatenate([cube, -cube], axis=2)
+        return {"1-D": self.X, "3-D": cube, "view": wide[..., :64]}
+
+    @pytest.mark.parametrize("kind", ["1-D", "3-D", "view"])
+    def test_per_sample_is_bit_identical_to_whole_array(self, kind):
+        x = self.inputs()[kind]
+        x_before = x.copy()
+        value, grad = self.whole_array(x)
+        np.testing.assert_array_equal(_act("gelu", x), value)
+        np.testing.assert_array_equal(_act_grad("gelu", x), grad)
+        np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("name", ["gelu", "relu"])
+    def test_writes_into_out_of_another_layout(self, name):
+        x = self.inputs()["view"]
+        out = np.empty((3, 64, 8)).transpose(0, 2, 1)
+        got = _act(name, x, out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, _act(name, x))
 
 
 class TestEmbedGrad:
