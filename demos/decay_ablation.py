@@ -18,7 +18,7 @@ import numpy as np
 from sgconv import TaskSpec, TrainConfig
 from sgconv.model import ablate_decay
 
-spec = TaskSpec(kind="first_token_recall", seq_len=128, num_classes=8, seed=0)
+spec = TaskSpec(kind="first_token_recall", seq_len=128, num_classes=8)
 tcfg = TrainConfig(steps=150, batch_size=32, lr=2e-2, eval_every=150, eval_samples=256)
 
 grid = [(t, 8) for t in (0.0, 0.5, 1.0, 2.0)] + [(1.0, d) for d in (1, 8, 64)]

@@ -13,7 +13,7 @@ import numpy as np
 from sgconv import ModelConfig, TaskSpec, TrainConfig, train
 
 L = 256
-spec = TaskSpec(kind="first_token_recall", seq_len=L, num_classes=8, seed=0)
+spec = TaskSpec(kind="first_token_recall", seq_len=L, num_classes=8)
 cfg = ModelConfig.for_task(
     spec, channels=32, n_blocks=1, scale_dim=8, mode="concat", decay_alpha=0.5
 )

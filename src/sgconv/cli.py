@@ -2,7 +2,7 @@
 
 Every command is deterministic given --seed except bench timings (whose CSV
 schema is still fixed).  An optional --config file supplies `key = value`
-defaults; explicit command-line flags always win.
+defaults for the command's own flags; explicit command-line flags always win.
 """
 
 from __future__ import annotations
@@ -22,16 +22,8 @@ from . import verify as verify_mod
 from .ioutil import atomic_write_text
 from .kernel import KernelConfig, init_kernel, write_kernel_csv
 
-DEFAULT_T_SWEEP = (0.0, 0.5, 1.0, 2.0)
-DEFAULT_D_SWEEP = (1, 8, 64)
-DEFAULT_FIXED_D = 8
-DEFAULT_FIXED_T = 1.0
-
 # config-file keys may use the short flag spellings
 KEY_ALIASES = {"len": "seq_len", "alpha": "decay_alpha", "t": "decay_t"}
-
-# defaults of the flags that _add_common gives every command
-COMMON_DEFAULTS = {"seed": 0, "precision": "f64"}
 
 
 class BadInput(Exception):
@@ -77,22 +69,18 @@ def _coerce(raw: str, like):
     return raw
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """COMMON_DEFAULTS <- command defaults <- config file <- explicit CLI flags."""
-    defaults = {**COMMON_DEFAULTS, **defaults}
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            if key in resolved:
-                try:
-                    resolved[key] = _coerce(raw, defaults[key])
-                except ValueError:
-                    raise ValueError(f"{args.config}: bad value for {key}: {raw!r}") from None
-    for key in resolved:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            resolved[key] = cli_val
-    return resolved
+def _config_defaults(command: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The --config file's values, typed like the defaults they replace."""
+    known = vars(args).keys() - {"command", "config"}
+    values = {}
+    for key, raw in _parse_config_file(args.config).items():
+        if key not in known:
+            raise ValueError(f"{args.config}: unknown key {key!r}")
+        try:
+            values[key] = _coerce(raw, command.get_default(key))
+        except ValueError:
+            raise ValueError(f"{args.config}: bad value for {key}: {raw!r}") from None
+    return values
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -103,35 +91,37 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(" ", "").split(","))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--out", type=str, default=None, help="output path")
-    p.add_argument("--precision", choices=("f32", "f64"), default=None)
+def _add_common(p: argparse.ArgumentParser, out=None, precision="f64") -> None:
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--out", type=str, default=out, help="output path")
+    p.add_argument("--precision", choices=("f32", "f64"), default=precision)
     p.add_argument("--config", type=str, default=None, help="key = value defaults file")
 
 
-# flags that train and ablate share, keyed by destination, and their shared defaults
+# flags that train and ablate share, keyed by destination; each command sets
+# its own seq_len, steps and lr defaults
 RUN_FLAGS = {
-    "task": ("--task", {"choices": ("first-token-recall", "adding-problem", "sparse-majority")}),
+    "task": ("--task", {"choices": ("first-token-recall", "adding-problem", "sparse-majority"),
+                        "default": "first-token-recall"}),
     "seq_len": ("--len", {"type": int}),
-    "classes": ("--classes", {"type": int}),
+    "classes": ("--classes", {"type": int, "default": 8}),
     "steps": ("--steps", {"type": int}),
-    "batch_size": ("--batch-size", {"type": int}),
+    "batch_size": ("--batch-size", {"type": int, "default": 32}),
     "lr": ("--lr", {"type": float}),
-    "channels": ("--channels", {"type": int}),
+    "channels": ("--channels", {"type": int, "default": 32}),
 }
 # ModelConfig fields fixed by the task flags; a resumed checkpoint must agree.
 TASK_FIELDS = ("seq_len", "classes", "vocab_size", "in_channels")
-RUN_DEFAULTS = {"task": "first-token-recall", "classes": 8, "batch_size": 32, "channels": 32}
 
 
 def _add_run_flags(p: argparse.ArgumentParser, *dests: str) -> None:
     for dest in dests:
         flag, kwargs = RUN_FLAGS[dest]
-        p.add_argument(flag, dest=dest, default=None, **kwargs)
+        p.add_argument(flag, dest=dest, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, keyed by name."""
     parser = argparse.ArgumentParser(
         prog="sgconv",
         description="Structured global convolution kernels: verification, "
@@ -144,54 +134,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", type=str, default=None, help="only suites whose name contains this")
 
     p = sub.add_parser("bench", help="time conv implementations across lengths")
-    _add_common(p)
-    p.add_argument("--lengths", type=_int_list, default=None, help="comma-separated, ascending")
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--direct-cap", dest="direct_cap", type=int, default=None,
+    _add_common(p, out="bench.csv", precision="f32")
+    p.add_argument("--lengths", type=_int_list, default=bench_mod.DEFAULT_LENGTHS,
+                   help="comma-separated, ascending")
+    p.add_argument("--channels", type=int, default=128)
+    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--reps", type=int, default=bench_mod.MIN_REPS)
+    p.add_argument("--direct-cap", dest="direct_cap", type=int, default=bench_mod.DEFAULT_DIRECT_CAP,
                    help="skip conv_direct above this length")
-    p.add_argument("--impls", type=lambda s: tuple(s.replace(" ", "").split(",")), default=None)
+    p.add_argument("--impls", type=lambda s: tuple(s.replace(" ", "").split(",")),
+                   default=bench_mod.IMPLS)
 
     p = sub.add_parser("dump-kernel", help="materialize a kernel and dump it as CSV")
-    _add_common(p)
-    p.add_argument("--len", dest="seq_len", type=int, default=None)
-    p.add_argument("--scale-dim", dest="scale_dim", type=int, default=None)
-    p.add_argument("--alpha", dest="decay_alpha", type=float, default=None)
-    p.add_argument("--t", dest="decay_t", type=float, default=None)
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--mode", choices=("concat", "disentangled"), default=None)
-    p.add_argument("--init", choices=("gaussian", "cosine"), default=None)
+    _add_common(p, out="kernel.csv")
+    p.add_argument("--len", dest="seq_len", type=int, default=4096)
+    p.add_argument("--scale-dim", dest="scale_dim", type=int, default=32)
+    p.add_argument("--alpha", dest="decay_alpha", type=float, default=0.5)
+    p.add_argument("--t", dest="decay_t", type=float, default=1.0)
+    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--mode", choices=("concat", "disentangled"), default="concat")
+    p.add_argument("--init", choices=("gaussian", "cosine"), default="gaussian")
 
     p = sub.add_parser("train", help="train the toy classifier on a synthetic task")
-    _add_common(p)
+    _add_common(p, out="run")
     _add_run_flags(p, "task", "seq_len", "classes", "steps", "batch_size", "lr")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     _add_run_flags(p, "channels")
-    p.add_argument("--blocks", type=int, default=None)
-    p.add_argument("--scale-dim", dest="scale_dim", type=int, default=None)
-    p.add_argument("--mode", choices=("concat", "disentangled"), default=None)
-    p.add_argument("--alpha", dest="decay_alpha", type=float, default=None)
-    p.add_argument("--t", dest="decay_t", type=float, default=None)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=None)
+    p.add_argument("--blocks", type=int, default=1)
+    p.add_argument("--scale-dim", dest="scale_dim", type=int, default=8)
+    p.add_argument("--mode", choices=("concat", "disentangled"), default="concat")
+    p.add_argument("--alpha", dest="decay_alpha", type=float, default=0.5)
+    p.add_argument("--t", dest="decay_t", type=float, default=1.0)
+    p.add_argument("--eval-every", dest="eval_every", type=int, default=50)
     p.add_argument("--resume", type=str, default=None, help="checkpoint to continue from")
+    p.set_defaults(seq_len=1024, steps=500, lr=3e-2)
 
     p = sub.add_parser("ablate", help="decay/dimension ablation sweeps")
-    _add_common(p)
+    _add_common(p, out="ablation.csv")
     _add_run_flags(p, *RUN_FLAGS)
-    p.add_argument("--seeds", type=int, default=None, help="number of seeds per grid point")
-    p.add_argument("--t-sweep", dest="t_sweep", type=_float_list, default=None)
-    p.add_argument("--d-sweep", dest="d_sweep", type=_int_list, default=None)
-    p.add_argument("--fixed-d", dest="fixed_d", type=int, default=None)
-    p.add_argument("--fixed-t", dest="fixed_t", type=float, default=None)
+    p.add_argument("--seeds", type=int, default=1, help="number of seeds per grid point")
+    p.add_argument("--t-sweep", dest="t_sweep", type=_float_list, default=(0.0, 0.5, 1.0, 2.0))
+    p.add_argument("--d-sweep", dest="d_sweep", type=_int_list, default=(1, 8, 64))
+    p.add_argument("--fixed-d", dest="fixed_d", type=int, default=8)
+    p.add_argument("--fixed-t", dest="fixed_t", type=float, default=1.0)
+    p.set_defaults(seq_len=256, steps=200, lr=2e-2)
 
-    return parser
+    return parser, sub.choices
 
 
 def cmd_verify(args) -> int:
-    with _options():
-        opts = _resolve(args, {"filter": None, "out": None})
-    results = verify_mod.run_suites(opts["filter"], precision=opts["precision"])
+    with _options():  # a bad filter or precision is rejected before any suite runs
+        verify_mod.select_suites(args.filter, args.precision)
+    results = verify_mod.run_suites(args.filter, precision=args.precision)
     all_ok = True
     lines = []
     for name, failures in results:
@@ -203,39 +197,25 @@ def cmd_verify(args) -> int:
     lines.append(f"{sum(1 for _, f in results if not f)}/{len(results)} suites passed")
     text = "\n".join(lines)
     print(text)
-    if opts["out"]:
-        atomic_write_text(opts["out"], text + "\n")
+    if args.out:
+        atomic_write_text(args.out, text + "\n")
     return 0 if all_ok else 1
 
 
 def cmd_bench(args) -> int:
-    with _options():
-        opts = _resolve(
-            args,
-            {
-                "precision": "f32",
-                "out": "bench.csv",
-                "lengths": bench_mod.DEFAULT_LENGTHS,
-                "channels": 128,
-                "batch": 64,
-                "reps": bench_mod.MIN_REPS,
-                "direct_cap": bench_mod.DEFAULT_DIRECT_CAP,
-                "impls": bench_mod.IMPLS,
-            },
-        )
-    dtype = np.float64 if opts["precision"] == "f64" else np.float32
+    dtype = np.float64 if args.precision == "f64" else np.float32
     with _options():  # run_bench checks its geometry before timing anything
         records, summary = bench_mod.run_bench(
-            lengths=opts["lengths"],
-            channels=opts["channels"],
-            batch=opts["batch"],
-            reps=opts["reps"],
-            impls=opts["impls"],
-            direct_cap=opts["direct_cap"],
+            lengths=args.lengths,
+            channels=args.channels,
+            batch=args.batch,
+            reps=args.reps,
+            impls=args.impls,
+            direct_cap=args.direct_cap,
             dtype=dtype,
-            seed=opts["seed"],
+            seed=args.seed,
         )
-    out = opts["out"]
+    out = args.out
     bench_mod.write_bench_csv(records, out)
     summary_path = os.path.splitext(str(out))[0] + ".json"
     bench_mod.write_bench_summary(summary, summary_path)
@@ -251,111 +231,73 @@ def cmd_bench(args) -> int:
 
 def cmd_dump_kernel(args) -> int:
     with _options():
-        opts = _resolve(
-            args,
-            {
-                "out": "kernel.csv",
-                "seq_len": 4096,
-                "scale_dim": 32,
-                "decay_alpha": 0.5,
-                "decay_t": 1.0,
-                "channels": 1,
-                "mode": "concat",
-                "init": "gaussian",
-            },
-        )
         cfg = KernelConfig(
-            seq_len=opts["seq_len"],
-            scale_dim=opts["scale_dim"],
-            channels=opts["channels"],
-            mode=opts["mode"],
-            decay_alpha=opts["decay_alpha"],
-            decay_t=opts["decay_t"],
-            init=opts["init"],
-            seed=opts["seed"],
+            seq_len=args.seq_len,
+            scale_dim=args.scale_dim,
+            channels=args.channels,
+            mode=args.mode,
+            decay_alpha=args.decay_alpha,
+            decay_t=args.decay_t,
+            init=args.init,
         )
-        if opts["precision"] != "f64":
+        if args.precision != "f64":
             raise ValueError("kernels are materialized in f64 only")
-    _, kern = init_kernel(cfg, np.random.default_rng(opts["seed"]))
-    write_kernel_csv(kern, opts["out"])
-    print(f"wrote {opts['out']} ({cfg.channels} channels x {cfg.seq_len} positions, "
+    _, kern = init_kernel(cfg, np.random.default_rng(args.seed))
+    write_kernel_csv(kern, args.out)
+    print(f"wrote {args.out} ({cfg.channels} channels x {cfg.seq_len} positions, "
           f"{cfg.num_scales} scales)")
     return 0
 
 
-def _task_from_opts(opts) -> tasks_mod.TaskSpec:
-    kind = opts["task"].replace("-", "_")
+def _task_spec(args) -> tasks_mod.TaskSpec:
     return tasks_mod.TaskSpec(
-        kind=kind,
-        seq_len=opts["seq_len"],
-        num_classes=opts["classes"],
-        seed=opts["seed"],
+        kind=args.task.replace("-", "_"), seq_len=args.seq_len, num_classes=args.classes
     )
 
 
 def cmd_train(args) -> int:
     with _options():
-        opts = _resolve(
-            args,
-            {
-                **RUN_DEFAULTS,
-                "out": "run",
-                "seq_len": 1024,
-                "steps": 500,
-                "lr": 3e-2,
-                "optimizer": "adam",
-                "blocks": 1,
-                "scale_dim": 8,
-                "mode": "concat",
-                "decay_alpha": 0.5,
-                "decay_t": 1.0,
-                "eval_every": 50,
-                "resume": None,
-            },
-        )
-        spec = _task_from_opts(opts)
+        spec = _task_spec(args)
         model_cfg = model_mod.ModelConfig.for_task(
             spec,
-            channels=opts["channels"],
-            n_blocks=opts["blocks"],
-            scale_dim=opts["scale_dim"],
-            mode=opts["mode"],
-            decay_alpha=opts["decay_alpha"],
-            decay_t=opts["decay_t"],
+            channels=args.channels,
+            n_blocks=args.blocks,
+            scale_dim=args.scale_dim,
+            mode=args.mode,
+            decay_alpha=args.decay_alpha,
+            decay_t=args.decay_t,
         )
         train_cfg = model_mod.TrainConfig(
-            steps=opts["steps"],
-            batch_size=opts["batch_size"],
-            lr=opts["lr"],
-            optimizer=opts["optimizer"],
-            seed=opts["seed"],
-            eval_every=opts["eval_every"],
+            steps=args.steps,
+            batch_size=args.batch_size,
+            lr=args.lr,
+            optimizer=args.optimizer,
+            seed=args.seed,
+            eval_every=args.eval_every,
         )
-        if opts["precision"] != "f64":
+        if args.precision != "f64":
             raise ValueError("training runs in f64 only")
     initial = None
-    if opts["resume"]:
+    if args.resume:
         try:
-            initial, saved_cfg = model_mod.load_checkpoint(opts["resume"])
+            initial, saved_cfg = model_mod.load_checkpoint(args.resume)
         except (OSError, ValueError) as exc:
-            print(f"cannot resume from {opts['resume']}: {exc}", file=sys.stderr)
-            return 2
+            raise BadInput(f"cannot resume from {args.resume}: {exc}") from exc
         clash = [
             f"{f} is {getattr(saved_cfg, f)} in the checkpoint, {getattr(model_cfg, f)} for this task"
             for f in TASK_FIELDS
             if getattr(saved_cfg, f) != getattr(model_cfg, f)
         ]
         if clash:
-            print(f"cannot resume from {opts['resume']}: {'; '.join(clash)}", file=sys.stderr)
-            return 2
+            raise BadInput(f"cannot resume from {args.resume}: {'; '.join(clash)}")
         model_cfg = saved_cfg
     try:
         result = model_mod.train(spec, model_cfg, train_cfg, state=initial)
     except model_mod.TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    log_path = f"{opts['out']}.jsonl"
-    ckpt_path = f"{opts['out']}.ckpt"
+    log_path = f"{args.out}.jsonl"
+    ckpt_path = f"{args.out}.ckpt"
     atomic_write_text(
         log_path, "\n".join(json.dumps(entry) for entry in result.log) + "\n"
     )
@@ -369,72 +311,67 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     with _options():
-        opts = _resolve(
-            args,
-            {
-                **RUN_DEFAULTS,
-                "out": "ablation.csv",
-                "seq_len": 256,
-                "steps": 200,
-                "lr": 2e-2,
-                "seeds": 1,
-                "t_sweep": DEFAULT_T_SWEEP,
-                "d_sweep": DEFAULT_D_SWEEP,
-                "fixed_d": DEFAULT_FIXED_D,
-                "fixed_t": DEFAULT_FIXED_T,
-            },
-        )
-        spec = _task_from_opts(opts)
-        grid = [(t, opts["fixed_d"]) for t in opts["t_sweep"]]
-        grid += [(opts["fixed_t"], d) for d in opts["d_sweep"]]
+        spec = _task_spec(args)
+        grid = [(t, args.fixed_d) for t in args.t_sweep]
+        grid += [(args.fixed_t, d) for d in args.d_sweep]
         for t, d in grid:  # the grid point configs ablate_decay will build
             model_mod.ModelConfig.for_task(
                 spec,
-                channels=opts["channels"],
+                channels=args.channels,
                 scale_dim=int(d),
                 mode="disentangled",
                 decay_t=float(t),
             )
-        if opts["seeds"] < 1:
-            raise ValueError(f"seeds must be >= 1, got {opts['seeds']}")
+        if args.seeds < 1:
+            raise ValueError(f"seeds must be >= 1, got {args.seeds}")
         train_cfg = model_mod.TrainConfig(
-            steps=opts["steps"],
-            batch_size=opts["batch_size"],
-            lr=opts["lr"],
-            eval_every=max(1, opts["steps"] // 2),
-            seed=opts["seed"],
+            steps=args.steps,
+            batch_size=args.batch_size,
+            lr=args.lr,
+            eval_every=max(1, args.steps // 2),
+            seed=args.seed,
         )
-        if opts["precision"] != "f64":
+        if args.precision != "f64":
             raise ValueError("ablation runs in f64 only")
-    seeds = tuple(opts["seed"] + i for i in range(opts["seeds"]))
+    seeds = tuple(args.seed + i for i in range(args.seeds))
     rows = model_mod.ablate_decay(
-        spec, grid, train_cfg, channels=opts["channels"], seeds=seeds
+        spec, grid, train_cfg, channels=args.channels, seeds=seeds
     )
     lines = ["t,d,accuracy,seed"]
     for row in rows:
         lines.append(f"{row['t']:g},{row['d']},{row['accuracy']:.6f},{row['seed']}")
-    atomic_write_text(opts["out"], "\n".join(lines) + "\n")
+    atomic_write_text(args.out, "\n".join(lines) + "\n")
     means: dict[tuple, list] = {}
     for row in rows:
         means.setdefault((row["t"], row["d"]), []).append(row["accuracy"])
     print("t      d    mean_acc  seeds")
     for (t, d), accs in means.items():
         print(f"{t:<6g} {d:<4d} {np.mean(accs):.4f}    {len(accs)}")
-    print(f"wrote {opts['out']}")
+    print(f"wrote {args.out}")
     return 0
 
 
+HANDLERS = {
+    "verify": cmd_verify,
+    "bench": cmd_bench,
+    "dump-kernel": cmd_dump_kernel,
+    "train": cmd_train,
+    "ablate": cmd_ablate,
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "verify": cmd_verify,
-        "bench": cmd_bench,
-        "dump-kernel": cmd_dump_kernel,
-        "train": cmd_train,
-        "ablate": cmd_ablate,
-    }[args.command]
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return handler(args)
+        if args.config:
+            # config values become the command's defaults; parsing again
+            # lets every explicit flag win over them
+            command = commands[args.command]
+            with _options():
+                command.set_defaults(**_config_defaults(command, args))
+            args = parser.parse_args(argv)
+        return HANDLERS[args.command](args)
     except BadInput as exc:
         print(f"sgconv {args.command}: {exc}", file=sys.stderr)
         return 2

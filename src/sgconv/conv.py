@@ -103,11 +103,12 @@ def depthwise_conv_direct_batch(x: np.ndarray, kernel, block: int = 1024) -> np.
     kp = np.zeros((h, lp), dtype=x.dtype)
     kp[:, :l] = kv
     y = np.zeros((b, h, lp), dtype=x.dtype)
-    uv = np.arange(t)[:, None] - np.arange(t)[None, :]  # u - v within a block
     for ch in range(h):
         kext = np.concatenate([np.zeros(t - 1, dtype=x.dtype), kp[ch]])
+        windows = np.lib.stride_tricks.sliding_window_view(kext, t)  # windows[i, j] = kext[i + j]
         for e in range(nb):
-            blk = kext[(t - 1 + e * t) + uv]  # (t, t): k[e*t + u - v], zero below diagonal reach
+            # (t, t): k[e*t + u - v], zero below diagonal reach
+            blk = windows[e * t : (e + 1) * t, ::-1].copy()
             for i in range(e, nb):
                 j = i - e
                 y[:, ch, i * t : (i + 1) * t] += xp[:, ch, j * t : (j + 1) * t] @ blk.T

@@ -34,7 +34,6 @@ class KernelConfig:
         decay_alpha: geometric decay coefficient, concat mode only, in (0, 1].
         decay_t: position-decay exponent, disentangled mode only, >= 0.
         init: "gaussian" or "cosine" parameter initialization.
-        seed: RNG seed used when no generator is supplied.
     """
 
     seq_len: int
@@ -44,7 +43,6 @@ class KernelConfig:
     decay_alpha: float = 0.5
     decay_t: float = 1.0
     init: str = "gaussian"
-    seed: int = 0
 
     def __post_init__(self):
         if self.seq_len < 1:
@@ -243,16 +241,14 @@ def materialize(
     return MaterializedKernel(values=raw / z[:, None], normalizer=z)
 
 
-def init_params(config: KernelConfig, rng: np.random.Generator | None = None) -> ScaleParams:
-    """Draw initial ScaleParams; deterministic given the seed.
+def init_params(config: KernelConfig, rng: np.random.Generator) -> ScaleParams:
+    """Draw initial ScaleParams; deterministic given the generator.
 
     gaussian: i.i.d. standard normal entries.  cosine: each channel's
     per-scale vector samples cos(2*pi*f_h*x) on d grid points x in [0, 1],
     with f_h log-uniform in [1, max(1, d/2)]; in concat mode each channel
     also receives a fixed decay coefficient drawn uniformly from [1/3, 1].
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     H, N, d = config.channels, config.num_scales, config.scale_dim
     alphas = None
     if config.init == "gaussian":
@@ -269,7 +265,7 @@ def init_params(config: KernelConfig, rng: np.random.Generator | None = None) ->
 
 
 def init_kernel(
-    config: KernelConfig, rng: np.random.Generator | None = None
+    config: KernelConfig, rng: np.random.Generator
 ) -> tuple[ScaleParams, MaterializedKernel]:
     """Initialize parameters and materialize the unit-norm kernel."""
     params = init_params(config, rng)

@@ -25,6 +25,11 @@ LN_EPS = 1e-5
 ACTIVATIONS = ("gelu", "relu")
 POOLINGS = ("mean", "last")
 OPTIMIZERS = ("adam", "sgd")
+# Adam's moment decays and denominator guard, and SGD's momentum
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+SGD_MOMENTUM = 0.9
 
 # Regression predictions within this distance of the target count as correct
 # in the logged accuracy.
@@ -128,10 +133,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    momentum: float = 0.9
     seed: int = 0
     eval_every: int = 50
     eval_samples: int = 256
@@ -168,26 +169,15 @@ class ModelState:
     in_bias: np.ndarray | None = None  # (H,)
 
 
-def init_model(
-    cfg: ModelConfig, rng: np.random.Generator | None = None, zero_mix: bool = False
-) -> ModelState:
-    """Initialize all parameters; deterministic given the generator.
-
-    With zero_mix=True every block's mixing map starts at exactly zero, which
-    makes the whole stack the identity on its input.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
+def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelState:
+    """Initialize all parameters; deterministic given the generator."""
     H = cfg.channels
     kcfg = cfg.kernel_config()
     blocks = []
     for _ in range(cfg.n_blocks):
         params = init_params(kcfg, rng)
         kern = materialize(params, kcfg)
-        if zero_mix:
-            mix_w = np.zeros((H, H))
-        else:
-            mix_w = rng.normal(0.0, 1.0 / np.sqrt(H), size=(H, H))
+        mix_w = rng.normal(0.0, 1.0 / np.sqrt(H), size=(H, H))
         blocks.append(
             BlockParams(
                 weights=params.weights,
@@ -532,17 +522,17 @@ class _Optimizer:
         c = self.cfg
         self.t += 1
         if c.optimizer == "adam":
-            bc1 = 1.0 - c.beta1**self.t
-            bc2 = 1.0 - c.beta2**self.t
+            bc1 = 1.0 - ADAM_BETA1**self.t
+            bc2 = 1.0 - ADAM_BETA2**self.t
             for p, g, m, v in zip(self.params, grads, self.m, self.v):
-                m *= c.beta1
-                m += (1.0 - c.beta1) * g
-                v *= c.beta2
-                v += (1.0 - c.beta2) * g**2
-                p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g**2
+                p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         else:
             for p, g, m in zip(self.params, grads, self.m):
-                m *= c.momentum
+                m *= SGD_MOMENTUM
                 m += g
                 p -= c.lr * m
 

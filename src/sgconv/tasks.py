@@ -8,12 +8,9 @@ the label can always be re-derived from the input alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ioutil import atomic_write_text
 
 KINDS = ("first_token_recall", "adding_problem", "sparse_majority")
 
@@ -26,7 +23,6 @@ class TaskSpec:
     kind: str
     seq_len: int
     num_classes: int = 8
-    seed: int = 0
     # first_token_recall only: distractor tokens disjoint from class tokens,
     # so the answer is readable solely from position 0.
     distractors: int = 8
@@ -110,15 +106,3 @@ def rederive_label(spec: TaskSpec, row: np.ndarray):
         return float(values[markers == 1.0].sum())
     signs = np.where(row == 1, 1, np.where(row == 2, -1, 0))
     return int(signs.sum() > 0)
-
-
-def dump_samples(spec: TaskSpec, count: int, path) -> None:
-    """Write samples as JSON lines {"input": [...], "label": ...}."""
-    rng = np.random.default_rng(spec.seed)
-    inputs, labels = gen_batch(spec, count, rng)
-    lines = []
-    for i in range(count):
-        lines.append(
-            json.dumps({"input": inputs[i].tolist(), "label": labels[i].item()})
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")

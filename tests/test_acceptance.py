@@ -209,7 +209,7 @@ def test_c6_complexity_ordering():
 
 
 def test_c7_learning_demonstration():
-    spec = TaskSpec(kind="first_token_recall", seq_len=1024, num_classes=8, seed=0)
+    spec = TaskSpec(kind="first_token_recall", seq_len=1024, num_classes=8)
     cfg = ModelConfig.for_task(
         spec, channels=32, n_blocks=1, scale_dim=8, mode="concat", decay_alpha=0.5
     )

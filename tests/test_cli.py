@@ -5,7 +5,7 @@ import pytest
 
 import sgconv.model as model_mod
 import sgconv.verify as verify_mod
-from sgconv.cli import main
+from sgconv.cli import build_parser, main
 from sgconv.conv import make_plan
 from sgconv.model import classifier_forward, load_checkpoint
 from sgconv.tasks import TaskSpec, gen_batch
@@ -49,11 +49,10 @@ class TestDumpKernel:
         # decreases across scales because of the alpha**i weighting
         from sgconv.kernel import KernelConfig, init_kernel, sub_kernel_len
         L, d = 256, 8
-        cfg_n = KernelConfig(seq_len=L, scale_dim=d, decay_alpha=0.5)
-        n_scales = cfg_n.num_scales
+        cfg = KernelConfig(seq_len=L, scale_dim=d, decay_alpha=0.5)
+        n_scales = cfg.num_scales
         peaks = np.zeros(n_scales)
         for seed in range(100):
-            cfg = KernelConfig(seq_len=L, scale_dim=d, decay_alpha=0.5, seed=seed)
             _, kern = init_kernel(cfg, np.random.default_rng(seed))
             offset = 0
             for i in range(n_scales):
@@ -78,9 +77,21 @@ class TestVerify:
         names = [l.split()[1] for l in out.strip().split("\n") if l.startswith("PASS")]
         assert names and all("fftconv" in n for n in names)
 
-    def test_unknown_filter_rejected(self):
-        with pytest.raises(ValueError):
-            run_cli("verify", "--filter", "nonexistent-suite")
+    def test_unknown_filter_rejected(self, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        assert run_cli("verify", "--filter", "nonexistent-suite", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "sgconv verify: no suite matches filter 'nonexistent-suite'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_error_inside_a_suite_is_not_bad_input(self, monkeypatch):
+        def broken(precision):
+            raise ValueError("raised by the suite")
+
+        monkeypatch.setattr(verify_mod, "SUITES", (("fftconv.agreement", broken),))
+        with pytest.raises(ValueError, match="raised by the suite"):
+            run_cli("verify")
 
     def test_corrupted_suite_fails(self, monkeypatch, capsys):
         broken = (("fftconv.agreement", lambda precision: ["injected failure"]),)
@@ -148,7 +159,7 @@ class TestTrainCommand:
                 "--scale-dim", "4", "--out", str(prefix)]
         run_cli(*args)
         state, cfg = load_checkpoint(tmp_path / "base.ckpt")
-        spec = TaskSpec(kind="first_token_recall", seq_len=32, num_classes=4, seed=0)
+        spec = TaskSpec(kind="first_token_recall", seq_len=32, num_classes=4)
         inputs, _ = gen_batch(spec, 4, np.random.default_rng(0))
         logits1 = classifier_forward(inputs, state, cfg, make_plan(32))
         state2, cfg2 = load_checkpoint(tmp_path / "base.ckpt")
@@ -281,6 +292,31 @@ class TestConfigFile:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 16
 
+    def test_flag_at_its_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("len = 16\nscale-dim = 4\nchannels = 2\n")
+        out = tmp_path / "k.csv"
+        assert run_cli("dump-kernel", "--config", str(cfg), "--channels", "1", "--out", str(out)) == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 1 + 1 * 16
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            ("dump-kernel", "bogus = 3", "bogus"),
+            ("dump-kernel", "scale_dm = 4", "scale_dm"),
+            ("train", "lengths = 16,32", "lengths"),
+            ("ablate", "resume = base.ckpt", "resume"),
+            ("verify", "config = other.cfg", "config"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, monkeypatch, capsys, command, line, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"seed = 1\n{line}\n")
+        assert run_cli(command, "--config", "run.cfg", "--out", "out") == 2
+        assert capsys.readouterr().err == f"sgconv {command}: run.cfg: unknown key '{key}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_malformed_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this line has no equals sign\n")
@@ -327,3 +363,40 @@ class TestBadInput:
         assert err.startswith(f"sgconv {command}: ") and message in err
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.cfg", "noeq.cfg"]
+
+
+# Each command's defaults, written out as literals so that a moved or retyped
+# default fails here; repr tells 1 from 1.0 and a tuple from a list.
+DEFAULTS = {
+    "verify": {"seed": 0, "precision": "f64", "filter": None, "out": None},
+    "bench": {
+        "seed": 0, "precision": "f32", "out": "bench.csv",
+        "lengths": (256, 512, 1024, 2048, 4096, 8192, 16384), "channels": 128, "batch": 64,
+        "reps": 5, "direct_cap": 8192, "impls": ("conv_direct", "conv_fft", "attn_quadratic"),
+    },
+    "dump-kernel": {
+        "seed": 0, "precision": "f64", "out": "kernel.csv", "seq_len": 4096, "scale_dim": 32,
+        "decay_alpha": 0.5, "decay_t": 1.0, "channels": 1, "mode": "concat", "init": "gaussian",
+    },
+    "train": {
+        "seed": 0, "precision": "f64", "task": "first-token-recall", "classes": 8,
+        "batch_size": 32, "channels": 32, "out": "run", "seq_len": 1024, "steps": 500,
+        "lr": 3e-2, "optimizer": "adam", "blocks": 1, "scale_dim": 8, "mode": "concat",
+        "decay_alpha": 0.5, "decay_t": 1.0, "eval_every": 50, "resume": None,
+    },
+    "ablate": {
+        "seed": 0, "precision": "f64", "task": "first-token-recall", "classes": 8,
+        "batch_size": 32, "channels": 32, "out": "ablation.csv", "seq_len": 256, "steps": 200,
+        "lr": 2e-2, "seeds": 1, "t_sweep": (0.0, 0.5, 1.0, 2.0), "d_sweep": (1, 8, 64),
+        "fixed_d": 8, "fixed_t": 1.0,
+    },
+}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_no_flags_give_the_default_table(self, command):
+        parser, _ = build_parser()
+        args = vars(parser.parse_args([command]))
+        expected = {**DEFAULTS[command], "command": command, "config": None}
+        assert {k: repr(v) for k, v in args.items()} == {k: repr(v) for k, v in expected.items()}

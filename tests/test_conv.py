@@ -196,6 +196,32 @@ class TestDirectBlocked:
             for h in range(3):
                 assert rel_err(y[b, h], causal_conv_direct(x[b, h], k[h])) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("L,block", [(16, 16), (100, 16), (128, 32), (37, 8), (64, 128)])
+    def test_bit_identical_to_gathered_blocks(self, L, block, dtype):
+        rng = np.random.default_rng(L * block)
+        x = rng.standard_normal((2, 3, L)).astype(dtype)
+        k = rng.standard_normal((3, L)).astype(dtype)
+        # the same blocked product with each Toeplitz block gathered by fancy indexing
+        t = min(block, L)
+        nb = -(-L // t)
+        xp = np.zeros((2, 3, nb * t), dtype=dtype)
+        xp[..., :L] = x
+        kp = np.zeros((3, nb * t), dtype=dtype)
+        kp[:, :L] = k
+        ref = np.zeros_like(xp)
+        uv = np.arange(t)[:, None] - np.arange(t)[None, :]
+        for ch in range(3):
+            kext = np.concatenate([np.zeros(t - 1, dtype=dtype), kp[ch]])
+            for e in range(nb):
+                blk = kext[(t - 1 + e * t) + uv]
+                for i in range(e, nb):
+                    j = i - e
+                    ref[:, ch, i * t : (i + 1) * t] += xp[:, ch, j * t : (j + 1) * t] @ blk.T
+        y = depthwise_conv_direct_batch(x, k, block=block)
+        assert y.dtype == dtype
+        np.testing.assert_array_equal(y, ref[..., :L])
+
     def test_preserves_dtype(self):
         x = np.zeros((1, 1, 16), dtype=np.float32)
         k = np.zeros((1, 16), dtype=np.float32)

@@ -224,7 +224,7 @@ class TestKernelParamGrad:
 
     def test_rejects_missing_or_bad_normalizer(self):
         cfg = KernelConfig(seq_len=64, scale_dim=8, channels=2)
-        params = init_params(cfg)
+        params = init_params(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             kernel_param_grad(np.zeros((2, 64)), params, cfg, np.ones(3))
         with pytest.raises(ValueError):
@@ -259,7 +259,7 @@ class TestFiniteDiffCheck:
 
     def test_rejects_zero_eps(self):
         cfg = KernelConfig(seq_len=16, scale_dim=4, channels=1)
-        params = init_params(cfg)
+        params = init_params(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             finite_diff_check(lambda p: 0.0, params, np.zeros_like(params.weights), eps=0.0)
 

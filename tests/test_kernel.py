@@ -221,9 +221,9 @@ class TestBuildDisentangled:
 
 class TestInit:
     def test_deterministic_given_seed(self):
-        cfg = KernelConfig(seq_len=128, scale_dim=8, channels=4, seed=9)
-        a = init_params(cfg)
-        b = init_params(cfg)
+        cfg = KernelConfig(seq_len=128, scale_dim=8, channels=4)
+        a = init_params(cfg, np.random.default_rng(9))
+        b = init_params(cfg, np.random.default_rng(9))
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_unit_norm_at_init(self):
@@ -240,18 +240,18 @@ class TestInit:
 
     def test_cosine_single_point_grid_is_constant(self):
         cfg = KernelConfig(seq_len=8, scale_dim=1, channels=3, init="cosine")
-        params = init_params(cfg)
+        params = init_params(cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(params.weights, np.ones_like(params.weights))
 
     def test_cosine_concat_draws_per_channel_alpha(self):
         cfg = KernelConfig(seq_len=64, scale_dim=8, channels=16, init="cosine", mode="concat")
-        params = init_params(cfg)
+        params = init_params(cfg, np.random.default_rng(0))
         assert params.alphas is not None and params.alphas.shape == (16,)
         assert np.all((params.alphas >= 1 / 3) & (params.alphas <= 1.0))
 
     def test_cosine_disentangled_has_no_alpha(self):
         cfg = KernelConfig(seq_len=64, scale_dim=8, channels=4, init="cosine", mode="disentangled")
-        assert init_params(cfg).alphas is None
+        assert init_params(cfg, np.random.default_rng(0)).alphas is None
 
     def test_gaussian_mean(self):
         cfg = KernelConfig(seq_len=2048, scale_dim=64, channels=32, init="gaussian")

@@ -29,7 +29,7 @@ from sgconv.model import (
 )
 from sgconv.tasks import TaskSpec, gen_batch
 
-RECALL = TaskSpec(kind="first_token_recall", seq_len=64, num_classes=4, seed=0)
+RECALL = TaskSpec(kind="first_token_recall", seq_len=64, num_classes=4)
 
 
 def tiny_config(**kwargs):
@@ -61,7 +61,9 @@ def whole_array_layer_norm_adjoint(dh, dy, xhat, inv, bp):
 class TestBlock:
     def test_zero_mix_stack_is_identity(self):
         cfg = tiny_config(n_blocks=3)
-        state = init_model(cfg, np.random.default_rng(0), zero_mix=True)
+        state = init_model(cfg, np.random.default_rng(0))
+        for bp in state.blocks:
+            bp.mix_w[:] = 0.0
         plan = make_plan(cfg.seq_len)
         x = np.random.default_rng(1).standard_normal((2, cfg.channels, cfg.seq_len))
         y = x
@@ -273,7 +275,7 @@ class TestClassifier:
             classifier_forward(bad, state, cfg)
 
     def test_regression_head(self):
-        spec = TaskSpec(kind="adding_problem", seq_len=32, seed=1)
+        spec = TaskSpec(kind="adding_problem", seq_len=32)
         cfg = ModelConfig.for_task(spec, channels=8, n_blocks=1, scale_dim=4)
         state = init_model(cfg, np.random.default_rng(14))
         inputs, labels = gen_batch(spec, 8, np.random.default_rng(15))
@@ -308,7 +310,7 @@ class TestClassifier:
 class TestGradients:
     @pytest.mark.parametrize("mode", ["concat", "disentangled"])
     def test_full_model_matches_finite_differences(self, mode):
-        spec = TaskSpec(kind="first_token_recall", seq_len=32, num_classes=3, seed=2)
+        spec = TaskSpec(kind="first_token_recall", seq_len=32, num_classes=3)
         cfg = ModelConfig.for_task(spec, channels=4, n_blocks=2, scale_dim=4, mode=mode)
         state = init_model(cfg, np.random.default_rng(16))
         plan = make_plan(cfg.seq_len)
@@ -353,7 +355,7 @@ class TestGradients:
             items = _param_items(state)
             opt = _Optimizer(
                 [a for _, a in items],
-                TrainConfig(steps=1, lr=1e-4, optimizer="sgd", momentum=0.0),
+                TrainConfig(steps=1, lr=1e-4, optimizer="sgd"),
             )
             opt.step([grads[n] for n, _ in items])
             loss1, _ = cross_entropy(classifier_forward(inputs, state, cfg, plan), labels)
@@ -392,7 +394,7 @@ class TestTraining:
             train(RECALL, cfg, tcfg, state=state)
 
     def test_adam_learns_past_chance(self):
-        spec = TaskSpec(kind="first_token_recall", seq_len=64, num_classes=4, seed=3)
+        spec = TaskSpec(kind="first_token_recall", seq_len=64, num_classes=4)
         cfg = ModelConfig.for_task(spec, channels=16, n_blocks=1, scale_dim=4)
         tcfg = TrainConfig(steps=200, batch_size=16, lr=1e-2, eval_every=200,
                            eval_samples=64, seed=9)
@@ -422,7 +424,7 @@ class TestCheckpoint:
         ids=["gaussian", "cosine-concat", "cosine-disentangled"],
     )
     def test_roundtrip_keeps_every_tensor(self, tmp_path, kwargs):
-        spec = TaskSpec(kind="adding_problem", seq_len=32, seed=1)
+        spec = TaskSpec(kind="adding_problem", seq_len=32)
         for cfg in (tiny_config(**kwargs), ModelConfig.for_task(spec, channels=4, **kwargs)):
             state = init_model(cfg, np.random.default_rng(25))
             path = tmp_path / "model.ckpt"

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from sgconv.tasks import KINDS, MAJORITY_VOTES, TaskSpec, dump_samples, gen_batch, rederive_label
+from sgconv.tasks import KINDS, MAJORITY_VOTES, TaskSpec, gen_batch, rederive_label
 
 
 class TestSpecValidation:
@@ -81,7 +79,7 @@ class TestSparseMajority:
 class TestGenerators:
     @pytest.mark.parametrize("kind", KINDS)
     def test_deterministic_given_seed(self, kind):
-        spec = TaskSpec(kind=kind, seq_len=32, num_classes=4, seed=7)
+        spec = TaskSpec(kind=kind, seq_len=32, num_classes=4)
         a = gen_batch(spec, 16, np.random.default_rng(7))
         b = gen_batch(spec, 16, np.random.default_rng(7))
         np.testing.assert_array_equal(a[0], b[0])
@@ -103,15 +101,3 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_batch(spec, 0, np.random.default_rng(0))
 
-
-class TestDump:
-    def test_json_lines_roundtrip(self, tmp_path):
-        spec = TaskSpec(kind="first_token_recall", seq_len=8, num_classes=4, seed=3)
-        path = tmp_path / "samples.jsonl"
-        dump_samples(spec, 5, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 5
-        for line in lines:
-            obj = json.loads(line)
-            assert set(obj) == {"input", "label"}
-            assert obj["input"][0] == obj["label"]
