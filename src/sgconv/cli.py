@@ -70,17 +70,29 @@ def _coerce(raw: str, like):
 
 
 def _config_defaults(command: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """The --config file's values, typed like the defaults they replace."""
+    """The --config file's values, typed like the defaults they replace and
+    held to their flags' choices."""
     known = vars(args).keys() - {"command", "config"}
+    choices = {action.dest: action.choices for action in command._actions}
     values = {}
     for key, raw in _parse_config_file(args.config).items():
         if key not in known:
             raise ValueError(f"{args.config}: unknown key {key!r}")
         try:
             values[key] = _coerce(raw, command.get_default(key))
+            if choices.get(key) is not None and values[key] not in choices[key]:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{args.config}: bad value for {key}: {raw!r}") from None
     return values
+
+
+def _given(command: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]) -> set:
+    """Destinations that the command's own flags in argv set explicitly."""
+    unset = object()
+    # argparse fills in a default only where the namespace lacks the attribute
+    explicit = command.parse_args(argv, argparse.Namespace(**dict.fromkeys(vars(args), unset)))
+    return {dest for dest, value in vars(explicit).items() if value is not unset}
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -112,6 +124,10 @@ RUN_FLAGS = {
 }
 # ModelConfig fields fixed by the task flags; a resumed checkpoint must agree.
 TASK_FIELDS = ("seq_len", "classes", "vocab_size", "in_channels")
+# train's model flags, by destination, and the ModelConfig field each sets; a
+# resumed checkpoint must agree with those that the user sets.
+MODEL_FLAGS = {"channels": "channels", "blocks": "n_blocks", "scale_dim": "scale_dim",
+               "mode": "mode", "decay_alpha": "decay_alpha", "decay_t": "decay_t"}
 
 
 def _add_run_flags(p: argparse.ArgumentParser, *dests: str) -> None:
@@ -288,6 +304,11 @@ def cmd_train(args) -> int:
             for f in TASK_FIELDS
             if getattr(saved_cfg, f) != getattr(model_cfg, f)
         ]
+        clash += [
+            f"{f} is {getattr(saved_cfg, f)} in the checkpoint, {getattr(model_cfg, f)} as given"
+            for dest, f in MODEL_FLAGS.items()
+            if dest in args.given and getattr(saved_cfg, f) != getattr(model_cfg, f)
+        ]
         if clash:
             raise BadInput(f"cannot resume from {args.resume}: {'; '.join(clash)}")
         model_cfg = saved_cfg
@@ -361,16 +382,21 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parser()
     args = parser.parse_args(argv)
+    command = commands[args.command]
     try:
+        config = {}
         if args.config:
             # config values become the command's defaults; parsing again
             # lets every explicit flag win over them
-            command = commands[args.command]
             with _options():
-                command.set_defaults(**_config_defaults(command, args))
+                config = _config_defaults(command, args)
+            command.set_defaults(**config)
             args = parser.parse_args(argv)
+        # what the user set, by flag or config file, as against the defaults
+        args.given = _given(command, args, argv[1:]) | config.keys()
         return HANDLERS[args.command](args)
     except BadInput as exc:
         print(f"sgconv {args.command}: {exc}", file=sys.stderr)

@@ -52,11 +52,9 @@ def causal_conv_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     k = np.asarray(k)
     if x.ndim != 1 or k.ndim != 1 or x.shape != k.shape:
         raise ValueError(f"inputs must be equal-length vectors, got {x.shape} and {k.shape}")
-    n = x.shape[0]
-    y = np.empty_like(x)
-    for i in range(n):
-        y[i] = np.dot(k[: i + 1], x[i::-1])
-    return y
+    # np.convolve is numpy's direct correlate loop, the same O(L^2) sum
+    # without a Python loop per output; it never takes an FFT.
+    return np.convolve(x, k)[: x.shape[0]].astype(x.dtype)
 
 
 def depthwise_conv_batch(x: np.ndarray, kernel, plan: ConvPlan) -> np.ndarray:

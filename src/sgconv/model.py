@@ -10,7 +10,6 @@ anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -366,6 +365,15 @@ def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, bcfg: BlockConf
     return dx, grads
 
 
+# Cache-less passes (eval, serving) run embed, blocks and pooling over slices
+# of at most this many samples, so that a slice's activations and spectra
+# stay in cache instead of streaming the whole batch through DRAM.  Every one
+# of those steps works sample by sample, so slicing changes no bit; the head
+# runs once over all pooled rows, since a GEMM of a few rows rounds
+# differently from a batched one.  The cached training forward is not sliced.
+FORWARD_CHUNK = 16
+
+
 def _embed_inputs(inputs: np.ndarray, state: ModelState, cfg: ModelConfig) -> np.ndarray:
     if cfg.vocab_size is not None:
         tokens = np.asarray(inputs)
@@ -393,6 +401,27 @@ def _embed_grad(tokens: np.ndarray, dx: np.ndarray, vocab_size: int) -> np.ndarr
     return out
 
 
+def _features(
+    inputs: np.ndarray,
+    state: ModelState,
+    cfg: ModelConfig,
+    plan: ConvPlan,
+    caches: list | None = None,
+):
+    """Embed or project, run the block stack and pool: (embedded, final,
+    pooled).  Each block's cache is appended to caches when it is a list."""
+    bcfg = cfg.block_config()
+    x = first = _embed_inputs(inputs, state, cfg)
+    for bp in state.blocks:
+        if caches is None:
+            x = block_forward(x, bp, bcfg, plan)
+        else:
+            x, cache = block_forward(x, bp, bcfg, plan, want_cache=True)
+            caches.append(cache)
+    pooled = x.mean(axis=2) if cfg.pooling == "mean" else x[:, :, -1]
+    return first, x, pooled
+
+
 def classifier_forward(
     inputs: np.ndarray,
     state: ModelState,
@@ -400,23 +429,28 @@ def classifier_forward(
     plan: ConvPlan | None = None,
     want_cache: bool = False,
 ):
-    """Embed or project, run the block stack, pool, and read out logits."""
+    """Embed or project, run the block stack, pool, and read out logits.
+
+    Without a cache, a batch of more than FORWARD_CHUNK samples runs up to
+    the pooling in slices of that many samples, and the head then reads out
+    all of them at once; the logits are bit-identical to an unsliced pass.
+    """
     if plan is None:
         plan = make_plan(cfg.seq_len)
-    bcfg = cfg.block_config()
-    x = _embed_inputs(inputs, state, cfg)
     caches = [] if want_cache else None
-    first = x
-    for bp in state.blocks:
-        if want_cache:
-            x, cache = block_forward(x, bp, bcfg, plan, want_cache=True)
-            caches.append(cache)
-        else:
-            x = block_forward(x, bp, bcfg, plan)
-    if cfg.pooling == "mean":
-        pooled = x.mean(axis=2)
+    if want_cache or len(inputs) <= FORWARD_CHUNK:
+        first, x, pooled = _features(inputs, state, cfg, plan, caches)
     else:
-        pooled = x[:, :, -1]
+        # Under "last" pooling the rows of pooled are strided like the
+        # unsliced x[:, :, -1] view, so that the head rounds as it does
+        # there: numpy's matmul hands only unit-stride rows to BLAS and
+        # otherwise sums in its own order.
+        width = 1 if cfg.pooling == "mean" else 2
+        pooled = np.empty((len(inputs), cfg.channels, width))[:, :, 0]
+        for i in range(0, len(inputs), FORWARD_CHUNK):
+            pooled[i : i + FORWARD_CHUNK] = _features(
+                inputs[i : i + FORWARD_CHUNK], state, cfg, plan
+            )[2]
     logits = pooled @ state.head_w + state.head_b[None, :]
     if not want_cache:
         return logits
@@ -661,6 +695,8 @@ def ablate_decay(
 def save_checkpoint(path, state: ModelState, model_cfg: ModelConfig) -> None:
     """Binary checkpoint: magic, version, length-prefixed JSON header, then
     every tensor as little-endian float64 in declaration order."""
+    import json  # here, not at the top: `import sgconv` loads no json
+
     tensors = _param_items(state) + _buffer_items(state)
     header = {
         "model": asdict(model_cfg),
@@ -729,6 +765,8 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     or a header whose tensor names and shapes differ from what its model
     config implies.
     """
+    import json
+
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:

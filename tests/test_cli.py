@@ -239,6 +239,57 @@ class TestTrainCommand:
         assert run_cli(*common, "--resume", str(tmp_path / "base.ckpt"),
                        "--out", str(tmp_path / "again")) == 0
 
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (("--channels", "16"), ["channels is 8 in the checkpoint, 16"]),
+            (("--blocks", "2", "--mode", "disentangled"),
+             ["n_blocks is 1 in the checkpoint, 2", "mode is concat in the checkpoint, disentangled"]),
+            (("--scale-dim", "2", "--alpha", "0.25", "--t", "2"),
+             ["scale_dim is 4 in the checkpoint, 2", "decay_alpha is 0.5 in the checkpoint, 0.25",
+              "decay_t is 1.0 in the checkpoint, 2.0"]),
+            (("--channels", "32"), ["channels is 8 in the checkpoint, 32"]),  # 32 is the default
+        ],
+    )
+    def test_resume_rejects_model_flags_that_differ(self, tmp_path, capsys, flags, fields):
+        task = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
+                "--steps", "2", "--batch-size", "4"]
+        assert run_cli(*task, "--channels", "8", "--blocks", "1", "--scale-dim", "4",
+                       "--out", str(tmp_path / "base")) == 0
+        capsys.readouterr()
+        rc = run_cli(*task, *flags, "--resume", str(tmp_path / "base.ckpt"),
+                     "--out", str(tmp_path / "again"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sgconv train: cannot resume from ") and err.count("\n") == 1
+        assert all(field in err for field in fields), err
+        assert not (tmp_path / "again.jsonl").exists()
+
+    def test_resume_rejects_a_config_model_value_that_differs(self, tmp_path, capsys):
+        task = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
+                "--steps", "2", "--batch-size", "4"]
+        assert run_cli(*task, "--channels", "8", "--blocks", "1", "--scale-dim", "4",
+                       "--out", str(tmp_path / "base")) == 0
+        (tmp_path / "wide.cfg").write_text("channels = 16\n")
+        capsys.readouterr()
+        rc = run_cli(*task, "--config", str(tmp_path / "wide.cfg"),
+                     "--resume", str(tmp_path / "base.ckpt"), "--out", str(tmp_path / "again"))
+        assert rc == 2
+        assert "channels is 8 in the checkpoint, 16" in capsys.readouterr().err
+
+    def test_resume_leaves_model_flags_at_their_defaults_to_the_checkpoint(self, tmp_path):
+        task = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
+                "--steps", "2", "--batch-size", "4"]
+        assert run_cli(*task, "--channels", "8", "--blocks", "2", "--scale-dim", "4",
+                       "--mode", "disentangled", "--alpha", "0.25", "--t", "2",
+                       "--out", str(tmp_path / "base")) == 0
+        assert run_cli(*task, "--resume", str(tmp_path / "base.ckpt"),
+                       "--out", str(tmp_path / "again")) == 0
+        _, base_cfg = load_checkpoint(tmp_path / "base.ckpt")
+        _, again_cfg = load_checkpoint(tmp_path / "again.ckpt")
+        assert again_cfg == base_cfg
+        assert (again_cfg.channels, again_cfg.n_blocks, again_cfg.mode) == (8, 2, "disentangled")
+
 
 class TestAblateCommand:
     def test_tiny_grid(self, tmp_path, capsys):
@@ -315,6 +366,28 @@ class TestConfigFile:
         (tmp_path / "run.cfg").write_text(f"seed = 1\n{line}\n")
         assert run_cli(command, "--config", "run.cfg", "--out", "out") == 2
         assert capsys.readouterr().err == f"sgconv {command}: run.cfg: unknown key '{key}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    # each command is kept small, in case the value got through
+    @pytest.mark.parametrize(
+        "argv, line, message",
+        [
+            ("bench --lengths 16 --channels 1 --batch 1", "precision = f16",
+             "bad value for precision: 'f16'"),
+            ("train --len 32 --steps 1 --channels 2", "optimizer = rmsprop",
+             "bad value for optimizer: 'rmsprop'"),
+            ("dump-kernel --len 16", "mode = mixed", "bad value for mode: 'mixed'"),
+            ("ablate --len 32 --steps 1 --channels 2", "task = copying",
+             "bad value for task: 'copying'"),
+        ],
+    )
+    def test_value_outside_choices_rejected(self, tmp_path, monkeypatch, capsys, argv, line,
+                                            message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{line}\n")
+        command = argv.split()[0]
+        assert run_cli(*argv.split(), "--config", "run.cfg", "--out", "out") == 2
+        assert capsys.readouterr().err == f"sgconv {command}: run.cfg: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_malformed_config_rejected(self, tmp_path, capsys):

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgconv.model as model_mod
 from sgconv.conv import depthwise_conv_batch, make_plan
 from sgconv.grad import depthwise_conv_adjoint_batch
 from sgconv.kernel import ScaleParams, materialize
 from sgconv.model import (
+    FORWARD_CHUNK,
     LN_EPS,
     ModelConfig,
     TrainConfig,
@@ -307,6 +313,51 @@ class TestClassifier:
         assert abs(fd - grads["head_w"][idx]) < 1e-6 * max(1.0, abs(fd))
 
 
+ADDING = TaskSpec(kind="adding_problem", seq_len=32)
+
+
+class TestSlicedForward:
+    """A cache-less pass runs in FORWARD_CHUNK-sample slices and must give
+    the cached (unsliced) pass's logits bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (RECALL, dict(channels=8, n_blocks=1, scale_dim=4)),  # channels-last embedding
+            (ADDING, dict(channels=6, n_blocks=2, scale_dim=4)),
+            (RECALL, dict(channels=8, n_blocks=2, scale_dim=4, pooling="last")),
+            (ADDING, dict(channels=6, n_blocks=2, scale_dim=4, pooling="last")),
+        ],
+        ids=["tokens", "real-2-blocks", "tokens-last", "real-last"],
+    )
+    @pytest.mark.parametrize("batch", [1, 15, 16, 17, 33])
+    def test_matches_the_cached_pass_bit_for_bit(self, spec, kwargs, batch):
+        cfg = ModelConfig.for_task(spec, **kwargs)
+        state = init_model(cfg, np.random.default_rng(40))
+        inputs, _ = gen_batch(spec, batch, np.random.default_rng(41))
+        plan = make_plan(cfg.seq_len)
+        cached, _ = classifier_forward(inputs, state, cfg, plan, want_cache=True)
+        np.testing.assert_array_equal(classifier_forward(inputs, state, cfg, plan), cached)
+
+    def test_blocks_see_at_most_one_slice_without_a_cache(self, monkeypatch):
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(42))
+        inputs, _ = gen_batch(RECALL, 40, np.random.default_rng(43))
+        seen = []
+
+        def spy(x, *args, **kwargs):
+            seen.append(x.shape[0])
+            return block_forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "block_forward", spy)
+        classifier_forward(inputs, state, cfg)
+        assert FORWARD_CHUNK == 16
+        assert seen == [16, 16, 16, 16, 8, 8]  # two blocks per slice
+        seen.clear()
+        classifier_forward(inputs, state, cfg, want_cache=True)
+        assert seen == [40, 40]
+
+
 class TestGradients:
     @pytest.mark.parametrize("mode", ["concat", "disentangled"])
     def test_full_model_matches_finite_differences(self, mode):
@@ -404,6 +455,26 @@ class TestTraining:
 
 
 class TestCheckpoint:
+    def test_importing_the_package_loads_no_json(self):
+        # json is imported where checkpoints are written and read, so that
+        # `import sgconv` adds none of it to what numpy already loaded
+        code = (
+            "import sys, numpy\n"
+            "before = {m for m in sys.modules if m.split('.')[0] in ('json', '_json')}\n"
+            "import sgconv\n"
+            "after = {m for m in sys.modules if m.split('.')[0] in ('json', '_json')}\n"
+            "print(sorted(after - before))\n"
+        )
+        src = str(Path(model_mod.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "[]\n"
+
     def test_roundtrip_reproduces_logits(self, tmp_path):
         cfg = tiny_config()
         tcfg = TrainConfig(steps=4, batch_size=8, eval_every=4, eval_samples=16, seed=10)
