@@ -34,7 +34,6 @@ from .kernel import (
     write_kernel_csv,
 )
 from .model import (
-    BlockConfig,
     ModelConfig,
     ModelState,
     TrainConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "sub_kernel_len",
     "upsample_linear",
     "write_kernel_csv",
-    "BlockConfig",
     "ModelConfig",
     "ModelState",
     "TrainConfig",

@@ -12,6 +12,7 @@ import json
 import os.path
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -56,31 +57,19 @@ def _parse_config_file(path) -> dict[str, str]:
     return entries
 
 
-def _coerce(raw: str, like):
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    if isinstance(like, (tuple, list)):
-        item = like[0] if like else 0
-        return tuple(type(item)(tok) for tok in raw.replace(" ", "").split(","))
-    return raw
-
-
 def _config_defaults(command: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """The --config file's values, typed like the defaults they replace and
-    held to their flags' choices."""
+    """The --config file's values, each parsed as its flag parses it and
+    held to its flag's choices."""
     known = vars(args).keys() - {"command", "config"}
-    choices = {action.dest: action.choices for action in command._actions}
+    actions = {action.dest: action for action in command._actions}
     values = {}
     for key, raw in _parse_config_file(args.config).items():
         if key not in known:
             raise ValueError(f"{args.config}: unknown key {key!r}")
+        action = actions[key]
         try:
-            values[key] = _coerce(raw, command.get_default(key))
-            if choices.get(key) is not None and values[key] not in choices[key]:
+            values[key] = action.type(raw) if action.type else raw
+            if action.choices is not None and values[key] not in action.choices:
                 raise ValueError
         except ValueError:
             raise ValueError(f"{args.config}: bad value for {key}: {raw!r}") from None
@@ -387,14 +376,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = commands[args.command]
     try:
-        config = {}
-        if args.config:
-            # config values become the command's defaults; parsing again
-            # lets every explicit flag win over them
-            with _options():
+        with _options():
+            config = {}
+            if args.config:
+                # config values become the command's defaults; parsing again
+                # lets every explicit flag win over them
                 config = _config_defaults(command, args)
-            command.set_defaults(**config)
-            args = parser.parse_args(argv)
+                command.set_defaults(**config)
+                args = parser.parse_args(argv)
+            if args.out is not None:  # an unusable output path fails before the run
+                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         # what the user set, by flag or config file, as against the defaults
         args.given = _given(command, args, argv[1:]) | config.keys()
         return HANDLERS[args.command](args)

@@ -32,7 +32,7 @@ class KernelConfig:
         mode: "concat" (geometric per-scale decay alpha**i) or
             "disentangled" (per-position decay p**-t).
         decay_alpha: geometric decay coefficient, concat mode only, in (0, 1].
-        decay_t: position-decay exponent, disentangled mode only, >= 0.
+        decay_t: position-decay exponent, disentangled mode only, finite, >= 0.
         init: "gaussian" or "cosine" parameter initialization.
     """
 
@@ -59,8 +59,8 @@ class KernelConfig:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
         if not 0.0 < self.decay_alpha <= 1.0:
             raise ValueError(f"decay_alpha must be in (0, 1], got {self.decay_alpha}")
-        if self.decay_t < 0.0:
-            raise ValueError(f"decay_t must be >= 0, got {self.decay_t}")
+        if not 0.0 <= self.decay_t < float("inf"):  # NaN fails too
+            raise ValueError(f"decay_t must be >= 0 and finite, got {self.decay_t}")
 
     @property
     def num_scales(self) -> int:

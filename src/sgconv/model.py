@@ -21,8 +21,6 @@ from .kernel import KernelConfig, ScaleParams, init_params, materialize
 from .tasks import TaskSpec, gen_batch
 
 LN_EPS = 1e-5
-ACTIVATIONS = ("gelu", "relu")
-POOLINGS = ("mean", "last")
 OPTIMIZERS = ("adam", "sgd")
 # Adam's moment decays and denominator guard, and SGD's momentum
 ADAM_BETA1 = 0.9
@@ -36,6 +34,9 @@ REGRESSION_TOL = 0.1
 
 CHECKPOINT_MAGIC = b"SGCV"
 CHECKPOINT_VERSION = 1
+# Model fields that older v1 headers carry, each at the one value the model
+# now has; a header that holds another value names a model this code lacks.
+_RETIRED_FIELDS = {"kernel_init": "gaussian", "activation": "gelu", "pooling": "mean"}
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,29 +44,10 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BlockConfig:
-    """Wiring of one residual block; its shape is its kernel's, and its
-    channel mix is H -> H."""
-
-    kernel: KernelConfig
-    activation: str = "gelu"
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
-
-    @property
-    def channels(self) -> int:
-        return self.kernel.channels
-
-    @property
-    def seq_len(self) -> int:
-        return self.kernel.seq_len
-
-
-@dataclass(frozen=True)
 class ModelConfig:
-    """Toy sequence classifier: embed/project, blocks, pool, affine head."""
+    """Toy sequence classifier: embed/project, blocks, mean pool, affine
+    head.  Every block applies GELU, and its kernel starts from a Gaussian
+    init."""
 
     seq_len: int
     channels: int
@@ -77,15 +59,10 @@ class ModelConfig:
     mode: str = "concat"
     decay_alpha: float = 0.5
     decay_t: float = 1.0
-    kernel_init: str = "gaussian"
-    activation: str = "gelu"
-    pooling: str = "mean"
 
     def __post_init__(self):
         if (self.vocab_size is None) == (self.in_channels is None):
             raise ValueError("exactly one of vocab_size / in_channels must be set")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"pooling must be one of {POOLINGS}")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
         if self.classes < 1:
@@ -100,11 +77,7 @@ class ModelConfig:
             mode=self.mode,
             decay_alpha=self.decay_alpha,
             decay_t=self.decay_t,
-            init=self.kernel_init,
         )
-
-    def block_config(self) -> BlockConfig:
-        return BlockConfig(kernel=self.kernel_config(), activation=self.activation)
 
     @classmethod
     def for_task(cls, spec: TaskSpec, channels: int = 32, **kwargs) -> "ModelConfig":
@@ -139,8 +112,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.lr < 0.0:
-            raise ValueError("lr must be >= 0")
+        if not 0.0 <= self.lr < float("inf"):  # NaN fails too
+            raise ValueError(f"lr must be >= 0 and finite, got {self.lr}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.eval_every < 1 or self.batch_size < 1 or self.eval_samples < 1:
@@ -155,7 +128,6 @@ class BlockParams:
     beta: np.ndarray  # (H,) layer-norm bias
     mix_w: np.ndarray  # (H, H) pointwise channel mixing
     mix_b: np.ndarray  # (H,)
-    alphas: np.ndarray | None = None  # (H,) fixed per-channel decay, if any
 
 
 @dataclass
@@ -180,7 +152,6 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelState:
         blocks.append(
             BlockParams(
                 weights=params.weights,
-                alphas=params.alphas,
                 kernel_norm=kern.normalizer,
                 gamma=np.ones(H),
                 beta=np.zeros(H),
@@ -228,12 +199,10 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of x, written into out (a new array laid out like x by default)."""
+def _act(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GELU of x, written into out (a new array laid out like x by default)."""
     if out is None:
         out = np.empty_like(x)
-    if name == "relu":
-        return np.maximum(x, 0.0, out=out)
     for t in _samples(x):
         xt, ot = x[t], out[t]
         if xt.strides[-1] != ot.strides[-1]:
@@ -248,10 +217,8 @@ def _act(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _act_grad(name: str, x: np.ndarray) -> np.ndarray:
+def _act_grad(x: np.ndarray) -> np.ndarray:
     """Derivative 0.5*(1 + th) + 0.5*x*(1 - th^2)*c*(1 + 3a*x^2), th the GELU tanh."""
-    if name == "relu":
-        return (x > 0.0).astype(x.dtype)
     out = np.empty_like(x)
     for t in _samples(x):
         xt = x[t]
@@ -273,7 +240,7 @@ def _act_grad(name: str, x: np.ndarray) -> np.ndarray:
 def block_forward(
     x: np.ndarray,
     bp: BlockParams,
-    bcfg: BlockConfig,
+    kcfg: KernelConfig,
     plan: ConvPlan,
     want_cache: bool = False,
 ):
@@ -283,9 +250,9 @@ def block_forward(
     frozen normalizer, so learning reshapes the kernel while its init-time
     scale convention stays fixed.
     """
-    if x.ndim != 3 or x.shape[1] != bcfg.channels or x.shape[2] != bcfg.seq_len:
+    if x.ndim != 3 or x.shape[1] != kcfg.channels or x.shape[2] != kcfg.seq_len:
         raise ValueError(
-            f"input must have shape (B, {bcfg.channels}, {bcfg.seq_len}), got {x.shape}"
+            f"input must have shape (B, {kcfg.channels}, {kcfg.seq_len}), got {x.shape}"
         )
     # Layer norm, sample by sample.  The channel sums run over xc, a temporary
     # in x's own memory layout, so they add in the same order as over the
@@ -305,11 +272,7 @@ def block_forward(
         xh = np.multiply(xc, it, out=xc if xhat is None else xhat[t])
         ht = np.multiply(gamma, xh, out=h[t])
         ht += beta
-    kern = materialize(
-        ScaleParams(weights=bp.weights, alphas=bp.alphas),
-        bcfg.kernel,
-        normalizer=bp.kernel_norm,
-    )
+    kern = materialize(ScaleParams(weights=bp.weights), kcfg, normalizer=bp.kernel_norm)
     c = depthwise_conv_batch(h, kern.values, plan)
     if want_cache:
         # c is a view into the conv's 2L-long buffer; the cache keeps a
@@ -317,7 +280,7 @@ def block_forward(
         c = c.copy()
     # a takes the memory layout x arrived in (channels-last for a token
     # embedding), as the order in which the channel mix adds depends on it.
-    a = _act(bcfg.activation, c, out=np.empty_like(x))
+    a = _act(c, out=np.empty_like(x))
     y = np.matmul(bp.mix_w, a)
     y += bp.mix_b[None, :, None]
     y += x
@@ -327,23 +290,18 @@ def block_forward(
     return y, cache
 
 
-def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, bcfg: BlockConfig, plan: ConvPlan):
+def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, kcfg: KernelConfig, plan: ConvPlan):
     """Adjoint of block_forward; returns (dx, grads dict)."""
     dmix_w = np.matmul(dy, cache["a"].transpose(0, 2, 1)).sum(axis=0)
     dmix_b = dy.sum(axis=(0, 2))
     dc = np.matmul(bp.mix_w.T, dy)
-    dc *= _act_grad(bcfg.activation, cache["c"])
+    dc *= _act_grad(cache["c"])
     dh, dkernel = depthwise_conv_adjoint_batch(cache["h"], cache["kernel"], dc, plan)
-    dweights = kernel_param_grad(
-        dkernel,
-        ScaleParams(weights=bp.weights, alphas=bp.alphas),
-        bcfg.kernel,
-        bp.kernel_norm,
-    )
+    dweights = kernel_param_grad(dkernel, ScaleParams(weights=bp.weights), kcfg, bp.kernel_norm)
     xhat, inv = cache["xhat"], cache["inv"]
     gamma = bp.gamma[:, None]
-    dgamma = np.zeros(bcfg.channels)
-    dbeta = np.zeros(bcfg.channels)
+    dgamma = np.zeros(kcfg.channels)
+    dbeta = np.zeros(kcfg.channels)
     dx = np.empty(dy.shape)
     for t in _samples(dy):
         dht, xt = dh[t], xhat[t]
@@ -407,19 +365,18 @@ def _features(
     cfg: ModelConfig,
     plan: ConvPlan,
     caches: list | None = None,
-):
-    """Embed or project, run the block stack and pool: (embedded, final,
-    pooled).  Each block's cache is appended to caches when it is a list."""
-    bcfg = cfg.block_config()
-    x = first = _embed_inputs(inputs, state, cfg)
+) -> np.ndarray:
+    """Embed or project, run the block stack and mean-pool: the (B, H)
+    pooled rows.  Each block's cache is appended to caches when it is a list."""
+    kcfg = cfg.kernel_config()
+    x = _embed_inputs(inputs, state, cfg)
     for bp in state.blocks:
         if caches is None:
-            x = block_forward(x, bp, bcfg, plan)
+            x = block_forward(x, bp, kcfg, plan)
         else:
-            x, cache = block_forward(x, bp, bcfg, plan, want_cache=True)
+            x, cache = block_forward(x, bp, kcfg, plan, want_cache=True)
             caches.append(cache)
-    pooled = x.mean(axis=2) if cfg.pooling == "mean" else x[:, :, -1]
-    return first, x, pooled
+    return x.mean(axis=2)
 
 
 def classifier_forward(
@@ -439,22 +396,16 @@ def classifier_forward(
         plan = make_plan(cfg.seq_len)
     caches = [] if want_cache else None
     if want_cache or len(inputs) <= FORWARD_CHUNK:
-        first, x, pooled = _features(inputs, state, cfg, plan, caches)
+        pooled = _features(inputs, state, cfg, plan, caches)
     else:
-        # Under "last" pooling the rows of pooled are strided like the
-        # unsliced x[:, :, -1] view, so that the head rounds as it does
-        # there: numpy's matmul hands only unit-stride rows to BLAS and
-        # otherwise sums in its own order.
-        width = 1 if cfg.pooling == "mean" else 2
-        pooled = np.empty((len(inputs), cfg.channels, width))[:, :, 0]
+        pooled = np.empty((len(inputs), cfg.channels))
         for i in range(0, len(inputs), FORWARD_CHUNK):
-            pooled[i : i + FORWARD_CHUNK] = _features(
-                inputs[i : i + FORWARD_CHUNK], state, cfg, plan
-            )[2]
+            chunk = inputs[i : i + FORWARD_CHUNK]
+            pooled[i : i + len(chunk)] = _features(chunk, state, cfg, plan)
     logits = pooled @ state.head_w + state.head_b[None, :]
     if not want_cache:
         return logits
-    return logits, {"embedded": first, "caches": caches, "final": x, "pooled": pooled}
+    return logits, {"caches": caches, "pooled": pooled}
 
 
 def classifier_backward(
@@ -466,7 +417,7 @@ def classifier_backward(
     plan: ConvPlan,
 ) -> dict:
     """Gradients of every trainable tensor, keyed like _param_items."""
-    bcfg = cfg.block_config()
+    kcfg = cfg.kernel_config()
     grads = {}
     pooled = fwd_cache["pooled"]
     grads["head_w"] = pooled.T @ dlogits
@@ -474,13 +425,9 @@ def classifier_backward(
     dpooled = dlogits @ state.head_w.T
     b, h = dpooled.shape
     L = cfg.seq_len
-    if cfg.pooling == "mean":
-        dx = np.broadcast_to(dpooled[:, :, None] / L, (b, h, L)).copy()
-    else:
-        dx = np.zeros((b, h, L))
-        dx[:, :, -1] = dpooled
+    dx = np.broadcast_to(dpooled[:, :, None] / L, (b, h, L)).copy()
     for i in reversed(range(len(state.blocks))):
-        dx, bg = block_backward(dx, fwd_cache["caches"][i], state.blocks[i], bcfg, plan)
+        dx, bg = block_backward(dx, fwd_cache["caches"][i], state.blocks[i], kcfg, plan)
         for key, val in bg.items():
             grads[f"block{i}.{key}"] = val
     if cfg.vocab_size is not None:
@@ -535,12 +482,7 @@ def _param_items(state: ModelState) -> list[tuple[str, np.ndarray]]:
 
 def _buffer_items(state: ModelState) -> list[tuple[str, np.ndarray]]:
     """Fixed (non-trainable) tensors needed to rebuild the model."""
-    items = []
-    for i, bp in enumerate(state.blocks):
-        items.append((f"block{i}.kernel_norm", bp.kernel_norm))
-        if bp.alphas is not None:
-            items.append((f"block{i}.alphas", bp.alphas))
-    return items
+    return [(f"block{i}.kernel_norm", bp.kernel_norm) for i, bp in enumerate(state.blocks)]
 
 
 class _Optimizer:
@@ -718,8 +660,7 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor a checkpoint of cfg holds.
 
     Worked out from the config alone, without building the model, since a
-    damaged header can ask for any size.  Only cosine-init concat kernels
-    carry per-channel alphas (see init_params).
+    damaged header can ask for any size.
     """
     H = cfg.channels
     kcfg = cfg.kernel_config()
@@ -732,8 +673,6 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"block{i}.mix_w"] = (H, H)
         for name in ("gamma", "beta", "mix_b", "kernel_norm"):
             shapes[f"block{i}.{name}"] = (H,)
-        if kcfg.init == "cosine" and kcfg.mode == "concat":
-            shapes[f"block{i}.alphas"] = (H,)
     shapes["head_w"] = (H, cfg.classes)
     shapes["head_b"] = (cfg.classes,)
     return shapes
@@ -761,9 +700,10 @@ def _check_tensor_layout(cfg: ModelConfig, names: list[str], shapes: list[tuple]
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     """Read a save_checkpoint file.
 
-    Raises ValueError, naming the fault, for a file of the wrong byte length
-    or a header whose tensor names and shapes differ from what its model
-    config implies.
+    Raises ValueError, naming the fault, for a file of the wrong byte length,
+    a header whose tensor names and shapes differ from what its model config
+    implies, or an older header whose kernel_init, activation or pooling is
+    not the one value the model now has.
     """
     import json
 
@@ -779,7 +719,14 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
         raise ValueError(f"unsupported checkpoint version {version}")
     header = json.loads(data[12 : 12 + jlen].decode("utf-8"))
     try:
-        cfg = ModelConfig(**header["model"])
+        fields = dict(header["model"])
+        for name, only in _RETIRED_FIELDS.items():
+            value = fields.pop(name, only)
+            if value != only:
+                raise ValueError(
+                    f"checkpoint model has {name}={value!r}; only {only!r} is supported"
+                )
+        cfg = ModelConfig(**fields)
         names = [entry["name"] for entry in header["tensors"]]
         shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
     except (KeyError, TypeError) as exc:
@@ -806,7 +753,6 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
                 beta=arrays[f"block{i}.beta"],
                 mix_w=arrays[f"block{i}.mix_w"],
                 mix_b=arrays[f"block{i}.mix_b"],
-                alphas=arrays.get(f"block{i}.alphas"),
             )
         )
     state = ModelState(

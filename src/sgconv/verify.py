@@ -221,10 +221,10 @@ def suite_model(seed: int = 0) -> list[str]:
         bp.mix_w[:] = 0.0
     plan = conv.make_plan(cfg.seq_len)
     x = rng.standard_normal((2, cfg.channels, cfg.seq_len))
-    bcfg = cfg.block_config()
+    kcfg = cfg.kernel_config()
     y = x
     for bp in state.blocks:
-        y = model.block_forward(y, bp, bcfg, plan)
+        y = model.block_forward(y, bp, kcfg, plan)
     if not np.array_equal(y, x):
         fails.append("zero-mix block stack is not the identity")
     # one SGD step on a frozen batch decreases the loss

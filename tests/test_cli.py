@@ -189,7 +189,7 @@ class TestTrainCommand:
         assert "non-finite gradient in block0.weights at step 1" in err
         assert not (tmp_path / "nan.ckpt").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "trailing", "renamed"])
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "renamed", "relu"])
     def test_resume_rejects_damaged_checkpoint(self, damage, tmp_path, capsys):
         args = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
                 "--steps", "2", "--batch-size", "4", "--channels", "8", "--blocks", "1",
@@ -197,10 +197,15 @@ class TestTrainCommand:
         run_cli(*args, "--out", str(tmp_path / "base"))
         ckpt = tmp_path / "base.ckpt"
         blob = ckpt.read_bytes()
+        jlen = int.from_bytes(blob[8:12], "little")
+        # an older header's activation field, at a value the model no longer has
+        relu = blob[12 : 12 + jlen].replace(b'{"model": {', b'{"model": {"activation": "relu", ')
         damaged, message = {
             "truncated": (blob[:-5], f"expected {len(blob)} bytes"),
             "trailing": (blob + b"\x00", f"expected {len(blob)} bytes"),
             "renamed": (blob.replace(b'"head_b"', b'"head_c"'), "unexpected tensor 'head_c'"),
+            "relu": (blob[:8] + len(relu).to_bytes(4, "little") + relu + blob[12 + jlen :],
+                     "checkpoint model has activation='relu'; only 'gelu' is supported"),
         }[damage]
         ckpt.write_bytes(damaged)
         capsys.readouterr()
@@ -334,6 +339,12 @@ class TestConfigFile:
         run_cli("dump-kernel", "--config", str(cfg), "--out", str(out))
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 48  # channels=2, len=48 from config
+        # list values parse as their flags do: d-sweep = 4 is the 1-tuple (4,)
+        cfg.write_text("len = 32\nsteps = 1\nchannels = 2\nt-sweep = 0, 1.5\nd-sweep = 4\n")
+        out = tmp_path / "abl.csv"
+        assert run_cli("ablate", "--config", str(cfg), "--fixed-d", "2", "--out", str(out)) == 0
+        grid = [tuple(line.split(",")[:2]) for line in out.read_text().strip().split("\n")[1:]]
+        assert grid == [("0", "2"), ("1.5", "2"), ("1", "4")]
 
     def test_cli_flags_beat_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -411,6 +422,14 @@ class TestBadInput:
             ("train --batch-size 0", "batch_size"),
             ("train --channels 0", "channels must be >= 1"),
             ("train --lr -1", "lr must be >= 0"),
+            ("train --lr nan", "lr must be >= 0 and finite, got nan"),
+            ("train --lr inf", "lr must be >= 0 and finite, got inf"),
+            ("ablate --lr nan", "lr must be >= 0 and finite, got nan"),
+            ("ablate --lr inf", "lr must be >= 0 and finite, got inf"),
+            ("train --t nan", "decay_t must be >= 0 and finite, got nan"),
+            ("train --mode disentangled --t nan", "decay_t must be >= 0 and finite, got nan"),
+            ("ablate --t-sweep 0,nan", "decay_t must be >= 0 and finite, got nan"),
+            ("dump-kernel --t inf", "decay_t must be >= 0 and finite, got inf"),
             ("train --classes 1", "num_classes must be >= 2"),
             ("train --task sparse-majority --len 4", "seq_len must be >= 9"),
             ("train --config noeq.cfg", "expected `key = value`"),
@@ -436,6 +455,29 @@ class TestBadInput:
         assert err.startswith(f"sgconv {command}: ") and message in err
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.cfg", "noeq.cfg"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --filter kernelgen",
+            "bench --lengths 16 --channels 1 --batch 1",
+            "dump-kernel --len 16 --scale-dim 4",
+            "train --len 32 --steps 1 --channels 2",
+            "ablate --len 32 --steps 1 --channels 2 --t-sweep 0 --d-sweep 4",
+        ],
+    )
+    def test_out_under_a_regular_file_exits_2_before_the_run(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        command = argv.split()[0]
+        assert run_cli(*argv.split(), "--out", "afile/run") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"sgconv {command}: ") and "afile" in captured.err
+        assert captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert (tmp_path / "afile").read_text() == ""
 
 
 # Each command's defaults, written out as literals so that a moved or retyped
