@@ -69,8 +69,11 @@ def workspace_bytes(impl: str, seq_len: int, channels: int, batch: int, itemsize
         t = min(DIRECT_BLOCK, L)
         block = t * t * itemsize
         kext = (t - 1 + L) * itemsize
-        padded = (B * H + H) * L * itemsize
-        return block + kext + padded
+        padded = H * L * itemsize
+        # one channel's padded and block-major input, its output blocks and
+        # one diagonal's product
+        channel = 4 * B * L * itemsize
+        return block + kext + padded + channel
     if impl == "attn_quadratic":
         scores = L * L * itemsize
         operands = 2 * L * H * itemsize

@@ -42,6 +42,17 @@ def _options():
         raise BadInput(str(exc)) from exc
 
 
+def _check_out_path(out) -> None:
+    """Reject an output path whose nearest existing ancestor is not a
+    directory.  Nothing is created: the writers make missing directories
+    once there is something to write."""
+    ancestor = Path(out).parent
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        raise ValueError(f"cannot write {out}: {ancestor} is not a directory")
+
+
 def _parse_config_file(path) -> dict[str, str]:
     entries = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -385,7 +396,7 @@ def main(argv=None) -> int:
                 command.set_defaults(**config)
                 args = parser.parse_args(argv)
             if args.out is not None:  # an unusable output path fails before the run
-                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+                _check_out_path(args.out)
         # what the user set, by flag or config file, as against the defaults
         args.given = _given(command, args, argv[1:]) | config.keys()
         return HANDLERS[args.command](args)

@@ -84,8 +84,10 @@ def depthwise_conv_direct_batch(x: np.ndarray, kernel, block: int = 1024) -> np.
     """Direct O(L^2) depthwise convolution via blocked triangular matmuls.
 
     The causal kernel matrix is Toeplitz, so its square blocks repeat along
-    each diagonal; one block per diagonal offset is materialized and applied
-    to the whole batch with a matrix product.  Numerically equal to
+    each diagonal; one block per diagonal offset is materialized.  Each
+    channel's input is laid out block-major as (nb, B, t), so that diagonal
+    e is one ((nb - e) * B, t) matrix product, added into output blocks
+    e..nb-1 in order of increasing e.  Numerically equal to
     causal_conv_direct up to accumulation order.
     """
     x = np.asarray(x)
@@ -96,18 +98,21 @@ def depthwise_conv_direct_batch(x: np.ndarray, kernel, block: int = 1024) -> np.
     t = min(block, l)
     nb = -(-l // t)
     lp = nb * t
-    xp = np.zeros((b, h, lp), dtype=x.dtype)
-    xp[..., :l] = x
     kp = np.zeros((h, lp), dtype=x.dtype)
     kp[:, :l] = kv
-    y = np.zeros((b, h, lp), dtype=x.dtype)
+    y = np.empty((b, h, nb, t), dtype=x.dtype)
+    xpad = np.zeros((b, lp), dtype=x.dtype)  # one channel's input, zero past l
+    xc = np.empty((nb, b, t), dtype=x.dtype)
+    yc = np.empty((nb, b, t), dtype=x.dtype)
     for ch in range(h):
         kext = np.concatenate([np.zeros(t - 1, dtype=x.dtype), kp[ch]])
         windows = np.lib.stride_tricks.sliding_window_view(kext, t)  # windows[i, j] = kext[i + j]
+        xpad[:, :l] = x[:, ch]
+        xc[...] = xpad.reshape(b, nb, t).transpose(1, 0, 2)
+        yc.fill(0)
         for e in range(nb):
             # (t, t): k[e*t + u - v], zero below diagonal reach
             blk = windows[e * t : (e + 1) * t, ::-1].copy()
-            for i in range(e, nb):
-                j = i - e
-                y[:, ch, i * t : (i + 1) * t] += xp[:, ch, j * t : (j + 1) * t] @ blk.T
-    return y[..., :l]
+            yc[e:] += (xc[: nb - e].reshape(-1, t) @ blk.T).reshape(nb - e, b, t)
+        y[:, ch] = yc.transpose(1, 0, 2)
+    return y.reshape(b, h, lp)[..., :l]

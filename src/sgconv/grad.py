@@ -16,7 +16,8 @@ from .kernel import (
     ScaleParams,
     _check_params,
     _interp_indices,
-    coverage,
+    _scale_coefs,
+    _scale_maps,
     position_decay,
     sub_kernel_len,
 )
@@ -91,11 +92,11 @@ def kernel_param_grad(
 ) -> np.ndarray:
     """Pull a kernel-space gradient (H, L) back to ScaleParams space.
 
-    Applies, in reverse order: division by the frozen normalizer (a
-    constant, so a plain 1/Z scaling), the per-position decay (disentangled)
-    or per-scale coefficient (concat), zero-extension over the truncated
-    tail, the split at sub-kernel boundaries, and the upsample transpose.
-    Returns the (H, N, d) gradient of ScaleParams.weights.
+    The transpose of materialize under a frozen normalizer: the per-position
+    decay (disentangled), then per scale the product with M(d, len_i).T
+    (upsample_adjoint past kernel.DENSE_MAX) over the positions the scale
+    covers below L (the truncated tail contributes nothing), scaled by
+    alpha**i / Z.  Returns the (H, N, d) gradient of ScaleParams.weights.
     """
     d_kernel = np.asarray(d_kernel, dtype=np.float64)
     H, N, d = params.weights.shape
@@ -107,23 +108,18 @@ def kernel_param_grad(
     if z.shape != (H,):
         raise ValueError(f"normalizer must have shape ({H},), got {z.shape}")
 
-    g = d_kernel / z[:, None]
+    g = d_kernel
     if config.mode == "disentangled":
         g = g * position_decay(L, config.decay_t)[None, :]
-    cov = coverage(L, d)
-    if cov > L:
-        g = np.concatenate([g, np.zeros((H, cov - L))], axis=1)
-
     d_weights = np.empty((H, N, d))
-    offset = 0
-    for i in range(N):
-        li = sub_kernel_len(i, d)
-        seg = g[:, offset : offset + li]
-        if config.mode == "concat":
-            alpha = params.alphas if params.alphas is not None else config.decay_alpha
-            seg = seg * np.asarray(alpha**i).reshape(-1, 1)
-        d_weights[:, i, :] = upsample_adjoint(seg, d)
-        offset += li
+    for i, off, n, m in _scale_maps(config):
+        if m is None:
+            seg = np.zeros((H, sub_kernel_len(i, d)))  # zero past L
+            seg[:, :n] = g[:, off : off + n]
+            d_weights[:, i, :] = upsample_adjoint(seg, d)
+        else:
+            np.matmul(g[:, off : off + n], m.T, out=d_weights[:, i, :])
+    d_weights *= _scale_coefs(params, config, 1.0 / z)
     return d_weights
 
 

@@ -449,7 +449,8 @@ class TestBadInput:
         (tmp_path / "noeq.cfg").write_text("steps 5\n")
         (tmp_path / "abc.cfg").write_text("steps = abc\n")
         command = argv.split()[0]
-        rc = run_cli(*argv.split(), "--out", "out")
+        # an --out under a directory that does not exist yet: bad input leaves none behind
+        rc = run_cli(*argv.split(), "--out", "newdir/out")
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"sgconv {command}: ") and message in err

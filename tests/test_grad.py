@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgconv import kernel as kernel_mod
 from sgconv.conv import depthwise_conv_batch, make_plan
 from sgconv.grad import (
     depthwise_conv_adjoint_batch,
@@ -15,6 +16,8 @@ from sgconv.kernel import (
     init_kernel,
     init_params,
     materialize,
+    position_decay,
+    sub_kernel_len,
     upsample_linear,
 )
 
@@ -162,7 +165,62 @@ class TestUpsampleAdjoint:
         np.testing.assert_array_equal(upsample_adjoint(g, d), expect)
 
 
+def pullback_by_adjoint(dk, params, config, z):
+    """kernel_param_grad written with upsample_adjoint: scale, decay, zero-extend
+    the cut tail, split at the sub-kernel boundaries, scatter onto the knots."""
+    H, N, d = params.weights.shape
+    L = config.seq_len
+    g = dk / z[:, None]
+    if config.mode == "disentangled":
+        g = g * position_decay(L, config.decay_t)[None, :]
+    lens = [sub_kernel_len(i, d) for i in range(N)]
+    g = np.concatenate([g, np.zeros((H, sum(lens) - L))], axis=1)
+    out = np.empty((H, N, d))
+    offset = 0
+    for i, li in enumerate(lens):
+        seg = g[:, offset : offset + li]
+        if config.mode == "concat":
+            alpha = params.alphas if params.alphas is not None else config.decay_alpha
+            seg = seg * np.asarray(alpha**i).reshape(-1, 1)
+        out[:, i, :] = upsample_adjoint(seg, d)
+        offset += li
+    return out
+
+
 class TestKernelParamGrad:
+    @pytest.mark.parametrize(
+        "L, d, mode, init",
+        [
+            (4096, 8, "concat", "gaussian"),
+            (1024, 8, "concat", "cosine"),
+            (256, 8, "disentangled", "gaussian"),
+            (100, 8, "concat", "cosine"),
+            (100, 8, "disentangled", "gaussian"),
+            (64, 1, "concat", "gaussian"),
+            (64, 64, "disentangled", "gaussian"),
+        ],
+    )
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_matches_upsample_adjoint_and_transposes_materialize(
+        self, monkeypatch, L, d, mode, init, dense
+    ):
+        if not dense:  # every scale through upsample_linear and upsample_adjoint
+            monkeypatch.setattr(kernel_mod, "DENSE_MAX", 0)
+        cfg = KernelConfig(
+            seq_len=L, scale_dim=d, channels=3, mode=mode, init=init, decay_alpha=0.7, decay_t=1.5
+        )
+        rng = np.random.default_rng(L * d)
+        params = init_params(cfg, rng)
+        z = rng.uniform(0.5, 2.0, size=3)
+        dk = rng.standard_normal((3, L))
+        dweights = kernel_param_grad(dk, params, cfg, z)
+        ref = pullback_by_adjoint(dk, params, cfg, z)
+        assert np.abs(dweights - ref).max() <= 1e-13 * np.abs(ref).max()
+        # <materialize(W), G> = <W, pullback(G)> under the frozen normalizer
+        lhs = float(np.sum(materialize(params, cfg, normalizer=z).values * dk))
+        rhs = float(np.sum(params.weights * dweights))
+        assert abs(lhs - rhs) <= ADJOINT_TOL * max(abs(lhs), 1.0)
+
     def test_zero_gradient_passes_through(self):
         cfg = KernelConfig(seq_len=64, scale_dim=8, channels=2)
         params, kern = init_kernel(cfg, np.random.default_rng(7))

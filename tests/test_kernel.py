@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sgconv import kernel as kernel_mod
 from sgconv.kernel import (
     KernelConfig,
     ScaleParams,
+    _interp_matrix,
     compute_normalizer,
     init_kernel,
     init_params,
@@ -29,6 +31,22 @@ def loop_upsample(w, target_len):
         f = pos - lo
         out[j] = (1.0 - f) * w[lo] + f * w[lo + 1]
     return out
+
+
+def concat_upsampled(params, config):
+    """The raw kernel as concatenated upsample_linear pieces, cut at L."""
+    d = config.scale_dim
+    pieces = []
+    for i in range(config.num_scales):
+        seg = upsample_linear(params.weights[:, i, :], sub_kernel_len(i, d))
+        if config.mode == "concat":
+            alpha = params.alphas if params.alphas is not None else config.decay_alpha
+            seg = seg * np.asarray(alpha**i).reshape(-1, 1)
+        pieces.append(seg)
+    raw = np.concatenate(pieces, axis=1)[:, : config.seq_len]
+    if config.mode == "disentangled":
+        raw = raw * position_decay(config.seq_len, config.decay_t)[None, :]
+    return raw
 
 
 def loop_build(weights, config, alphas=None):
@@ -123,6 +141,14 @@ class TestUpsample:
             w = rng.standard_normal(d)
             np.testing.assert_allclose(upsample_linear(w, l), loop_upsample(w, l), atol=1e-14)
 
+    @pytest.mark.parametrize("d, n", [(1, 1), (1, 6), (5, 5), (3, 7), (8, 2048)])
+    def test_interp_matrix_is_memoized_read_only_upsampled_identity(self, d, n):
+        m = _interp_matrix(d, n)
+        np.testing.assert_array_equal(m, upsample_linear(np.eye(d), n))
+        assert _interp_matrix(d, n) is m and m.flags.c_contiguous
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
 
 class TestNormalizer:
     def test_euclidean_examples(self):
@@ -189,6 +215,55 @@ class TestBuildConcat:
         bad = ScaleParams(weights=np.ones((1, 3, 2)))
         with pytest.raises(ValueError):
             materialize(bad, cfg)
+
+
+# (L, d, mode, init): cosine init in concat mode carries per-channel alphas,
+# L=100 with d=8 cuts the last scale, d=L is a single scale
+ASSEMBLY_CASES = [
+    (4096, 8, "concat", "gaussian"),
+    (1024, 8, "concat", "cosine"),
+    (256, 8, "disentangled", "gaussian"),
+    (100, 8, "concat", "gaussian"),
+    (100, 8, "concat", "cosine"),
+    (100, 8, "disentangled", "cosine"),
+    (64, 1, "concat", "gaussian"),
+    (64, 1, "disentangled", "gaussian"),
+    (64, 64, "concat", "gaussian"),
+    (64, 64, "disentangled", "gaussian"),
+]
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("L, d, mode, init", ASSEMBLY_CASES)
+    def test_matches_concatenated_upsampling(self, monkeypatch, L, d, mode, init, frozen, dense):
+        if not dense:  # every scale upsampled by formula
+            monkeypatch.setattr(kernel_mod, "DENSE_MAX", 0)
+        cfg = KernelConfig(
+            seq_len=L, scale_dim=d, channels=3, mode=mode, init=init, decay_alpha=0.7, decay_t=1.5
+        )
+        rng = np.random.default_rng(L + d)
+        params = init_params(cfg, rng)
+        raw = concat_upsampled(params, cfg)
+        if frozen:
+            z = rng.uniform(0.5, 2.0, size=3)
+            kern = materialize(params, cfg, normalizer=z)
+            np.testing.assert_array_equal(kern.normalizer, z)
+        else:
+            z = np.linalg.norm(raw, axis=1)
+            kern = materialize(params, cfg)
+            np.testing.assert_allclose(kern.normalizer, z, rtol=1e-15)
+        expect = raw / z[:, None]
+        assert np.abs(kern.values - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    def test_builds_no_matrix_past_the_dense_bound(self):
+        cfg = KernelConfig(seq_len=2048, scale_dim=2048, channels=1)
+        assert cfg.scale_dim**2 > kernel_mod.DENSE_MAX
+        _interp_matrix.cache_clear()
+        params, kern = init_kernel(cfg, np.random.default_rng(0))
+        materialize(params, cfg, normalizer=kern.normalizer)
+        assert _interp_matrix.cache_info().currsize == 0
 
 
 class TestBuildDisentangled:
