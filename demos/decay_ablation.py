@@ -24,7 +24,7 @@ tcfg = TrainConfig(steps=150, batch_size=32, lr=2e-2, eval_every=150, eval_sampl
 grid = [(t, 8) for t in (0.0, 0.5, 1.0, 2.0)] + [(1.0, d) for d in (1, 8, 64)]
 print(f"grid: t-sweep {[g for g in grid[:4]]} + d-sweep {[g for g in grid[4:]]}")
 t0 = time.time()
-rows = ablate_decay(spec, grid, tcfg, channels=32, n_blocks=1, seeds=(0,))
+rows = ablate_decay(spec, grid, tcfg, channels=32, seeds=(0,))
 print(f"({time.time() - t0:.0f}s)\n")
 
 print(f"{'t':>5} {'d':>4} {'accuracy':>9}")

@@ -335,14 +335,8 @@ def cmd_ablate(args) -> int:
         spec = _task_spec(args)
         grid = [(t, args.fixed_d) for t in args.t_sweep]
         grid += [(args.fixed_t, d) for d in args.d_sweep]
-        for t, d in grid:  # the grid point configs ablate_decay will build
-            model_mod.ModelConfig.for_task(
-                spec,
-                channels=args.channels,
-                scale_dim=int(d),
-                mode="disentangled",
-                decay_t=float(t),
-            )
+        for t, d in grid:  # every grid point's model is valid before any training
+            model_mod.ablation_config(spec, t, d, args.channels)
         if args.seeds < 1:
             raise ValueError(f"seeds must be >= 1, got {args.seeds}")
         train_cfg = model_mod.TrainConfig(

@@ -123,34 +123,30 @@ def kernel_param_grad(
     return d_weights
 
 
-def finite_diff_check(
-    loss_fn,
-    params: ScaleParams,
-    analytic: np.ndarray,
-    eps: float = 1e-5,
-    max_coords: int = 200,
-    seed: int = 0,
-) -> float:
+# finite_diff_check's relative step, and the most coordinates it probes
+FD_EPS = 1e-5
+FD_MAX_COORDS = 200
+
+
+def finite_diff_check(loss_fn, params: ScaleParams, analytic: np.ndarray) -> float:
     """Max deviation of the analytic gradient from central differences.
 
-    Per coordinate the step is eps * max(1, |p_i|); the deviation is relative
-    where the analytic entry exceeds 1e-8 in magnitude and absolute below
-    that.  For parameter tensors larger than max_coords a seeded random
-    subset of max_coords coordinates is probed.
+    Per coordinate the step is FD_EPS * max(1, |p_i|); the deviation is
+    relative where the analytic entry exceeds 1e-8 in magnitude and absolute
+    below that.  For parameter tensors larger than FD_MAX_COORDS a random
+    subset of that many coordinates, the same for every call, is probed.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
     flat_w = params.weights.ravel()
     n = flat_w.size
-    if n > max_coords:
-        idx = np.random.default_rng(seed).choice(n, size=max_coords, replace=False)
+    if n > FD_MAX_COORDS:
+        idx = np.random.default_rng(0).choice(n, size=FD_MAX_COORDS, replace=False)
         idx.sort()
     else:
         idx = np.arange(n)
     an = np.asarray(analytic).ravel()
     worst = 0.0
     for i in idx:
-        h = eps * max(1.0, abs(flat_w[i]))
+        h = FD_EPS * max(1.0, abs(flat_w[i]))
         w = params.weights.copy()
         w.flat[i] = flat_w[i] + h
         lp = loss_fn(ScaleParams(weights=w, alphas=params.alphas))

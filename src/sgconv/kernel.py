@@ -150,7 +150,8 @@ def upsample_linear(w: np.ndarray, target_len: int) -> np.ndarray:
 
     Output position j reads source coordinate j*(d-1)/(target_len-1); the
     first and last source points map exactly onto the first and last outputs.
-    A single source point broadcasts to a constant vector.
+    A single source point broadcasts to a constant vector.  The result is
+    C-contiguous.
     """
     w = np.asarray(w)
     d = w.shape[-1]
@@ -161,7 +162,7 @@ def upsample_linear(w: np.ndarray, target_len: int) -> np.ndarray:
     if d == 1:
         return np.broadcast_to(w, w.shape[:-1] + (target_len,)).copy()
     lo, hi, frac = _interp_indices(d, target_len)
-    return w[..., lo] * (1.0 - frac) + w[..., hi] * frac
+    return np.take(w, lo, axis=-1) * (1.0 - frac) + np.take(w, hi, axis=-1) * frac
 
 
 def _interp_indices(d: int, target_len: int):
@@ -183,11 +184,11 @@ def compute_normalizer(raw_kernel: np.ndarray) -> np.ndarray:
     return z
 
 
-def position_decay(seq_len: int, t: float, dtype=np.float64) -> np.ndarray:
-    """Per-position multiplier [1**-t, 2**-t, ..., L**-t] (1-indexed)."""
+def position_decay(seq_len: int, t: float) -> np.ndarray:
+    """Per-position f64 multiplier [1**-t, 2**-t, ..., L**-t] (1-indexed)."""
     if t < 0.0:
         raise ValueError(f"decay exponent must be >= 0, got {t}")
-    return np.arange(1, seq_len + 1, dtype=dtype) ** (-t)
+    return np.arange(1, seq_len + 1, dtype=np.float64) ** (-t)
 
 
 def _check_params(params: ScaleParams, config: KernelConfig) -> None:
@@ -209,11 +210,9 @@ def _interp_matrix(d: int, n: int) -> np.ndarray:
     """Read-only (d, n) matrix M with ``w @ M == upsample_linear(w, n)``.
 
     Upsampling is linear in the knots, so each sub-kernel is one matrix
-    product.  M is stored C-contiguous: ``upsample_linear`` returns it
-    column-major, a layout OpenBLAS 0.3.31 multiplies by in twice the
-    median time, with tails of tens of milliseconds.
+    product.
     """
-    m = np.ascontiguousarray(upsample_linear(np.eye(d), n))
+    m = upsample_linear(np.eye(d), n)
     m.flags.writeable = False
     return m
 

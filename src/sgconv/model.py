@@ -172,17 +172,6 @@ def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ModelState:
     return state
 
 
-# Elementwise chains (GELU, its derivative, layer norm and its adjoint) run
-# one sample x[b] at a time, so each chain's temporaries stay in cache
-# instead of streaming every (B, H, L) intermediate through DRAM.  Layer norm
-# reduces over the channels, which a sample keeps whole, so the per-sample
-# results are bit-identical to whole-batch ones.
-def _samples(x: np.ndarray):
-    """Indices of the pieces an elementwise chain runs over: each sample of
-    a (B, H, L) batch, or the whole array for any other shape."""
-    return range(x.shape[0]) if x.ndim == 3 else (Ellipsis,)
-
-
 # Tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + a*x^3))).  The cube is
 # built by multiplication: x**3 goes through pow, some 40x slower per element.
 GELU_C = np.sqrt(2.0 / np.pi)
@@ -199,18 +188,17 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def _act(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """GELU of x, written into out (a new array laid out like x by default)."""
-    if out is None:
-        out = np.empty_like(x)
-    for t in _samples(x):
-        xt, ot = x[t], out[t]
-        if xt.strides[-1] != ot.strides[-1]:
-            # x and out are laid out along different axes: the chain reads x
-            # twice more, so give it a copy laid out like out
-            xt = np.empty_like(ot)
-            xt[...] = x[t]
-        o = _gelu_tanh(xt, ot)
+# Elementwise chains (GELU, its derivative, layer norm and its adjoint) run
+# one sample x[b] at a time, so each chain's temporaries stay in cache
+# instead of streaming every (B, H, L) intermediate through DRAM.  Layer norm
+# reduces over the channels, which a sample keeps whole, so the per-sample
+# results are bit-identical to whole-batch ones.
+def _act(x: np.ndarray) -> np.ndarray:
+    """GELU of a (B, H, L) batch, as a new array laid out like x."""
+    out = np.empty_like(x)
+    for b in range(x.shape[0]):
+        xt = x[b]
+        o = _gelu_tanh(xt, out[b])
         o += 1.0
         o *= xt
         o *= 0.5
@@ -218,11 +206,12 @@ def _act(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _act_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative 0.5*(1 + th) + 0.5*x*(1 - th^2)*c*(1 + 3a*x^2), th the GELU tanh."""
+    """Derivative 0.5*(1 + th) + 0.5*x*(1 - th^2)*c*(1 + 3a*x^2), th the GELU
+    tanh, of a (B, H, L) batch."""
     out = np.empty_like(x)
-    for t in _samples(x):
-        xt = x[t]
-        th = _gelu_tanh(xt, out[t])
+    for b in range(x.shape[0]):
+        xt = x[b]
+        th = _gelu_tanh(xt, out[b])
         q = th * th
         np.subtract(1.0, q, out=q)
         q *= xt
@@ -263,14 +252,14 @@ def block_forward(
     inv = np.empty((x.shape[0], 1, x.shape[2]))
     gamma = bp.gamma[:, None]
     beta = bp.beta[:, None]
-    for t in _samples(x):
-        xt = x[t]
+    for b in range(x.shape[0]):
+        xt = x[b]
         xc = xt - xt.mean(axis=0)
         var = (xc * xc).mean(axis=0)
         var += LN_EPS
-        it = np.divide(1.0, np.sqrt(var, out=var), out=inv[t])
-        xh = np.multiply(xc, it, out=xc if xhat is None else xhat[t])
-        ht = np.multiply(gamma, xh, out=h[t])
+        it = np.divide(1.0, np.sqrt(var, out=var), out=inv[b])
+        xh = np.multiply(xc, it, out=xc if xhat is None else xhat[b])
+        ht = np.multiply(gamma, xh, out=h[b])
         ht += beta
     kern = materialize(ScaleParams(weights=bp.weights), kcfg, normalizer=bp.kernel_norm)
     c = depthwise_conv_batch(h, kern.values, plan)
@@ -278,9 +267,7 @@ def block_forward(
         # c is a view into the conv's 2L-long buffer; the cache keeps a
         # compact copy instead of the whole buffer.
         c = c.copy()
-    # a takes the memory layout x arrived in (channels-last for a token
-    # embedding), as the order in which the channel mix adds depends on it.
-    a = _act(c, out=np.empty_like(x))
+    a = _act(c)
     y = np.matmul(bp.mix_w, a)
     y += bp.mix_b[None, :, None]
     y += x
@@ -303,16 +290,16 @@ def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, kcfg: KernelCon
     dgamma = np.zeros(kcfg.channels)
     dbeta = np.zeros(kcfg.channels)
     dx = np.empty(dy.shape)
-    for t in _samples(dy):
-        dht, xt = dh[t], xhat[t]
+    for b in range(dy.shape[0]):
+        dht, xt = dh[b], xhat[b]
         dgamma += (dht * xt).sum(axis=1)
         dbeta += dht.sum(axis=1)
         dxhat = dht * gamma
-        dxt = np.subtract(dxhat, dxhat.mean(axis=0), out=dx[t])
+        dxt = np.subtract(dxhat, dxhat.mean(axis=0), out=dx[b])
         dxhat *= xt  # now dxhat * xhat
         dxt -= xt * dxhat.mean(axis=0)
-        dxt *= inv[t]
-        dxt += dy[t]
+        dxt *= inv[b]
+        dxt += dy[b]
     grads = {
         "weights": dweights,
         "gamma": dgamma,
@@ -388,14 +375,14 @@ def classifier_forward(
 ):
     """Embed or project, run the block stack, pool, and read out logits.
 
-    Without a cache, a batch of more than FORWARD_CHUNK samples runs up to
-    the pooling in slices of that many samples, and the head then reads out
-    all of them at once; the logits are bit-identical to an unsliced pass.
+    Without a cache, the batch runs up to the pooling in slices of at most
+    FORWARD_CHUNK samples, and the head then reads out all of them at once;
+    the logits are bit-identical to an unsliced pass.
     """
     if plan is None:
         plan = make_plan(cfg.seq_len)
-    caches = [] if want_cache else None
-    if want_cache or len(inputs) <= FORWARD_CHUNK:
+    if want_cache:
+        caches = []
         pooled = _features(inputs, state, cfg, plan, caches)
     else:
         pooled = np.empty((len(inputs), cfg.channels))
@@ -596,15 +583,28 @@ def train(
     return TrainResult(log=log, state=state, model_cfg=model_cfg, train_cfg=train_cfg)
 
 
+def ablation_config(task: TaskSpec, t: float, d: int, channels: int) -> ModelConfig:
+    """The model of one ablation grid point: one block, disentangled mode,
+    decay exponent t and scale dim d."""
+    return ModelConfig.for_task(
+        task,
+        channels=channels,
+        n_blocks=1,
+        scale_dim=int(d),
+        mode="disentangled",
+        decay_t=float(t),
+    )
+
+
 def ablate_decay(
     task: TaskSpec,
     grid: list[tuple[float, int]],
     train_cfg: TrainConfig,
     channels: int = 32,
-    n_blocks: int = 1,
     seeds: tuple[int, ...] = (0,),
 ) -> list[dict]:
-    """Train one model per (decay exponent t, scale dim d) grid point.
+    """Train one ablation_config model per (decay exponent t, scale dim d)
+    grid point.
 
     All grid points share the same seeds so rows are comparable; returns one
     row {"t", "d", "accuracy", "seed"} per (grid point, seed).
@@ -614,14 +614,7 @@ def ablate_decay(
     rows = []
     for seed in seeds:
         for t, d in grid:
-            cfg = ModelConfig.for_task(
-                task,
-                channels=channels,
-                n_blocks=n_blocks,
-                scale_dim=int(d),
-                mode="disentangled",
-                decay_t=float(t),
-            )
+            cfg = ablation_config(task, t, d, channels)
             result = train(task, cfg, TrainConfig(**{**asdict(train_cfg), "seed": seed}))
             rows.append(
                 {

@@ -16,6 +16,10 @@ KINDS = ("first_token_recall", "adding_problem", "sparse_majority")
 
 # sparse_majority places an odd number of votes so ties cannot occur.
 MAJORITY_VOTES = 9
+# first_token_recall fills every position after the first with one of this
+# many distractor tokens, disjoint from the class tokens, so the answer is
+# readable solely from position 0.
+DISTRACTORS = 8
 
 
 @dataclass(frozen=True)
@@ -23,9 +27,6 @@ class TaskSpec:
     kind: str
     seq_len: int
     num_classes: int = 8
-    # first_token_recall only: distractor tokens disjoint from class tokens,
-    # so the answer is readable solely from position 0.
-    distractors: int = 8
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -41,7 +42,7 @@ class TaskSpec:
     def vocab_size(self) -> int:
         """Token vocabulary seen by an embedding layer (token tasks only)."""
         if self.kind == "first_token_recall":
-            return self.num_classes + self.distractors
+            return self.num_classes + DISTRACTORS
         if self.kind == "sparse_majority":
             return 3  # neutral, +1 vote, -1 vote
         raise ValueError(f"{self.kind} has real-valued inputs, not tokens")
@@ -74,7 +75,7 @@ def gen_batch(
     L, C = spec.seq_len, spec.num_classes
     if spec.kind == "first_token_recall":
         labels = rng.integers(0, C, size=batch)
-        inputs = rng.integers(C, C + spec.distractors, size=(batch, L))
+        inputs = rng.integers(C, C + DISTRACTORS, size=(batch, L))
         inputs[:, 0] = labels
         return inputs, labels
     if spec.kind == "adding_problem":

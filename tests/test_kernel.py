@@ -141,6 +141,15 @@ class TestUpsample:
             w = rng.standard_normal(d)
             np.testing.assert_allclose(upsample_linear(w, l), loop_upsample(w, l), atol=1e-14)
 
+    @pytest.mark.parametrize("d, n", [(1, 6), (5, 5), (3, 7), (8, 32)])
+    def test_output_is_c_contiguous(self, d, n):
+        w = np.random.default_rng(5).standard_normal((4, 3, d))
+        for src in (w, w[:, 0, :], np.eye(d), w.transpose(1, 0, 2)):
+            out = upsample_linear(src, n)
+            assert out.flags.c_contiguous and out.shape == src.shape[:-1] + (n,)
+            for row in np.ndindex(src.shape[:-1]):
+                np.testing.assert_array_equal(out[row], upsample_linear(src[row], n))
+
     @pytest.mark.parametrize("d, n", [(1, 1), (1, 6), (5, 5), (3, 7), (8, 2048)])
     def test_interp_matrix_is_memoized_read_only_upsampled_identity(self, d, n):
         m = _interp_matrix(d, n)

@@ -129,6 +129,18 @@ class TestBlock:
         # the cache holds c itself, not a view into the conv's 2L-long buffer
         assert cache["c"].base is None and cache["c"].shape == x.shape
 
+    def test_cached_activation_is_row_major_for_channels_last_input(self):
+        # a token embedding reaches block 0 channels-last; the GELU output
+        # the channel mix and its gradient read is row-major all the same
+        cfg = tiny_config(n_blocks=1)
+        bp = init_model(cfg, np.random.default_rng(4)).blocks[0]
+        x = np.random.default_rng(5).standard_normal((3, cfg.seq_len, cfg.channels))
+        _, cache = block_forward(
+            x.transpose(0, 2, 1), bp, cfg.kernel_config(), make_plan(cfg.seq_len), want_cache=True
+        )
+        assert cache["a"].flags.c_contiguous
+        np.testing.assert_array_equal(cache["a"], _act(cache["c"]))
+
     def test_backward_matches_whole_array_layer_norm_adjoint(self):
         cfg = tiny_config(n_blocks=1)
         bp = init_model(cfg, np.random.default_rng(9)).blocks[0]
@@ -167,11 +179,12 @@ class TestActivation:
     """GELU against the former pow-based formula, kept here as the reference."""
 
     C = np.sqrt(2.0 / np.pi)
+    # a (B, H, L) = (3, 8, 1417) batch of 34008 values
     X = np.concatenate([
         [0.0, 1e-8, -1e-8, 1.0, -1.0, 50.0, -50.0],
         np.linspace(-60.0, 60.0, 24001),
         np.random.default_rng(30).standard_normal(10000) * 3.0,
-    ])
+    ]).reshape(3, 8, 1417)
 
     def reference(self, x):
         th = np.tanh(self.C * (x + 0.044715 * x**3))
@@ -186,7 +199,7 @@ class TestActivation:
         for got, ref in ((_act(self.X), value), (_act_grad(self.X), grad)):
             err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
             assert err.max() <= 1e-14
-            np.testing.assert_array_equal(got[:7], ref[:7])
+            np.testing.assert_array_equal(got.ravel()[:7], ref.ravel()[:7])
 
     def test_gelu_leaves_input_untouched(self):
         x = self.X.copy()
@@ -209,12 +222,12 @@ class TestActivation:
         return value, (th + 1.0 + q) * 0.5
 
     def inputs(self):
-        """1-D, contiguous (B, H, L) and a strided [..., :L] view of a 2L buffer."""
-        cube = self.X[: 3 * 8 * 64].reshape(3, 8, 64)
+        """Contiguous (B, H, L) and a strided [..., :L] view of a 2L buffer."""
+        cube = self.X.ravel()[: 3 * 8 * 64].reshape(3, 8, 64)
         wide = np.concatenate([cube, -cube], axis=2)
-        return {"1-D": self.X, "3-D": cube, "view": wide[..., :64]}
+        return {"3-D": cube, "view": wide[..., :64]}
 
-    @pytest.mark.parametrize("kind", ["1-D", "3-D", "view"])
+    @pytest.mark.parametrize("kind", ["3-D", "view"])
     def test_per_sample_is_bit_identical_to_whole_array(self, kind):
         x = self.inputs()[kind]
         x_before = x.copy()
@@ -222,14 +235,6 @@ class TestActivation:
         np.testing.assert_array_equal(_act(x), value)
         np.testing.assert_array_equal(_act_grad(x), grad)
         np.testing.assert_array_equal(x, x_before)
-
-    @pytest.mark.parametrize("name", ["gelu"])
-    def test_writes_into_out_of_another_layout(self, name):
-        x = self.inputs()["view"]
-        out = np.empty((3, 64, 8)).transpose(0, 2, 1)
-        got = _act(x, out=out)
-        assert got is out
-        np.testing.assert_array_equal(out, _act(x))
 
 
 class TestEmbedGrad:

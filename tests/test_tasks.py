@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sgconv.tasks import KINDS, MAJORITY_VOTES, TaskSpec, gen_batch, rederive_label
+from sgconv.tasks import DISTRACTORS, KINDS, MAJORITY_VOTES, TaskSpec, gen_batch, rederive_label
 
 
 class TestSpecValidation:
@@ -14,8 +14,8 @@ class TestSpecValidation:
             TaskSpec(kind="first_token_recall", seq_len=8, num_classes=1)
 
     def test_vocab_and_classes(self):
-        spec = TaskSpec(kind="first_token_recall", seq_len=8, num_classes=4, distractors=6)
-        assert spec.vocab_size == 10 and spec.classes == 4
+        spec = TaskSpec(kind="first_token_recall", seq_len=8, num_classes=4)
+        assert spec.vocab_size == 4 + DISTRACTORS and spec.classes == 4
         maj = TaskSpec(kind="sparse_majority", seq_len=16)
         assert maj.vocab_size == 3 and maj.classes == 2
         add = TaskSpec(kind="adding_problem", seq_len=16)
@@ -29,10 +29,10 @@ class TestFirstTokenRecall:
         np.testing.assert_array_equal(inputs[:, 0], labels)
 
     def test_distractors_disjoint_from_classes(self):
-        spec = TaskSpec(kind="first_token_recall", seq_len=16, num_classes=4, distractors=3)
+        spec = TaskSpec(kind="first_token_recall", seq_len=16, num_classes=4)
         inputs, _ = gen_batch(spec, 64, np.random.default_rng(1))
         rest = inputs[:, 1:]
-        assert rest.min() >= 4 and rest.max() < 7
+        assert np.array_equal(np.unique(rest), np.arange(4, 4 + DISTRACTORS))
 
     def test_class_balance(self):
         spec = TaskSpec(kind="first_token_recall", seq_len=4, num_classes=8)
