@@ -190,9 +190,10 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 # Elementwise chains (GELU, its derivative, layer norm and its adjoint) run
 # one sample x[b] at a time, so each chain's temporaries stay in cache
-# instead of streaming every (B, H, L) intermediate through DRAM.  Layer norm
-# reduces over the channels, which a sample keeps whole, so the per-sample
-# results are bit-identical to whole-batch ones.
+# instead of streaming every (B, H, L) intermediate through DRAM.  The
+# temporaries are a few (H, L) scratch tiles per call, reused by every
+# sample.  Layer norm reduces over the channels, which a sample keeps whole,
+# so the per-sample results are bit-identical to whole-batch ones.
 def _act(x: np.ndarray) -> np.ndarray:
     """GELU of a (B, H, L) batch, as a new array laid out like x."""
     out = np.empty_like(x)
@@ -209,14 +210,16 @@ def _act_grad(x: np.ndarray) -> np.ndarray:
     """Derivative 0.5*(1 + th) + 0.5*x*(1 - th^2)*c*(1 + 3a*x^2), th the GELU
     tanh, of a (B, H, L) batch."""
     out = np.empty_like(x)
+    q = np.empty_like(x[0])
+    poly = np.empty_like(x[0])
     for b in range(x.shape[0]):
         xt = x[b]
         th = _gelu_tanh(xt, out[b])
-        q = th * th
+        np.multiply(th, th, out=q)
         np.subtract(1.0, q, out=q)
         q *= xt
         q *= GELU_C
-        poly = xt * xt
+        np.multiply(xt, xt, out=poly)
         poly *= 3 * GELU_A
         poly += 1.0
         q *= poly
@@ -224,6 +227,35 @@ def _act_grad(x: np.ndarray) -> np.ndarray:
         th += q
         th *= 0.5
     return out
+
+
+def _layer_norm(
+    x: np.ndarray, bp: BlockParams, xhat: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm of a (B, H, L) batch over its channels, sample by sample:
+    returns (h, inv) and writes the normalized input into xhat if given.
+
+    The channel sums run over xc and sq, scratch tiles in x's own memory
+    layout, so they add in the same order as over the whole batch; xhat and h
+    are row-major, so the FFTs read h contiguously.  The tiles are freed on
+    return, before the conv allocates its spectra.
+    """
+    h = np.empty(x.shape)
+    inv = np.empty((x.shape[0], 1, x.shape[2]))
+    gamma = bp.gamma[:, None]
+    beta = bp.beta[:, None]
+    xc = np.empty_like(x[0])
+    sq = np.empty_like(x[0])
+    for b in range(x.shape[0]):
+        xt = x[b]
+        np.subtract(xt, xt.mean(axis=0), out=xc)
+        var = np.multiply(xc, xc, out=sq).mean(axis=0)
+        var += LN_EPS
+        it = np.divide(1.0, np.sqrt(var, out=var), out=inv[b])
+        xh = np.multiply(xc, it, out=xc if xhat is None else xhat[b])
+        ht = np.multiply(gamma, xh, out=h[b])
+        ht += beta
+    return h, inv
 
 
 def block_forward(
@@ -243,24 +275,8 @@ def block_forward(
         raise ValueError(
             f"input must have shape (B, {kcfg.channels}, {kcfg.seq_len}), got {x.shape}"
         )
-    # Layer norm, sample by sample.  The channel sums run over xc, a temporary
-    # in x's own memory layout, so they add in the same order as over the
-    # whole batch; xhat (kept only for the cache) and h are row-major, so the
-    # FFTs read h contiguously.
     xhat = np.empty(x.shape) if want_cache else None
-    h = np.empty(x.shape)
-    inv = np.empty((x.shape[0], 1, x.shape[2]))
-    gamma = bp.gamma[:, None]
-    beta = bp.beta[:, None]
-    for b in range(x.shape[0]):
-        xt = x[b]
-        xc = xt - xt.mean(axis=0)
-        var = (xc * xc).mean(axis=0)
-        var += LN_EPS
-        it = np.divide(1.0, np.sqrt(var, out=var), out=inv[b])
-        xh = np.multiply(xc, it, out=xc if xhat is None else xhat[b])
-        ht = np.multiply(gamma, xh, out=h[b])
-        ht += beta
+    h, inv = _layer_norm(x, bp, xhat)
     kern = materialize(ScaleParams(weights=bp.weights), kcfg, normalizer=bp.kernel_norm)
     c = depthwise_conv_batch(h, kern.values, plan)
     if want_cache:
@@ -290,14 +306,16 @@ def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, kcfg: KernelCon
     dgamma = np.zeros(kcfg.channels)
     dbeta = np.zeros(kcfg.channels)
     dx = np.empty(dy.shape)
+    prod = np.empty_like(xhat[0])  # row-major, like the products it replaces
+    dxhat = np.empty_like(xhat[0])
     for b in range(dy.shape[0]):
         dht, xt = dh[b], xhat[b]
-        dgamma += (dht * xt).sum(axis=1)
+        dgamma += np.multiply(dht, xt, out=prod).sum(axis=1)
         dbeta += dht.sum(axis=1)
-        dxhat = dht * gamma
+        np.multiply(dht, gamma, out=dxhat)
         dxt = np.subtract(dxhat, dxhat.mean(axis=0), out=dx[b])
         dxhat *= xt  # now dxhat * xhat
-        dxt -= xt * dxhat.mean(axis=0)
+        dxt -= np.multiply(xt, dxhat.mean(axis=0), out=prod)
         dxt *= inv[b]
         dxt += dy[b]
     grads = {
@@ -315,7 +333,8 @@ def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, kcfg: KernelCon
 # stay in cache instead of streaming the whole batch through DRAM.  Every one
 # of those steps works sample by sample, so slicing changes no bit; the head
 # runs once over all pooled rows, since a GEMM of a few rows rounds
-# differently from a batched one.  The cached training forward is not sliced.
+# differently from a batched one.  The training step (_step_grads) runs
+# forward and backward over slices of the same size.
 FORWARD_CHUNK = 16
 
 
@@ -448,6 +467,49 @@ def squared_error(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, dlogits
 
 
+def _step_grads(
+    inputs: np.ndarray,
+    labels: np.ndarray,
+    state: ModelState,
+    cfg: ModelConfig,
+    plan: ConvPlan,
+    regression: bool,
+) -> tuple[float, dict]:
+    """Mean loss of a training batch and its gradients, keyed like
+    _param_items.
+
+    Forward, loss and backward run over slices of at most FORWARD_CHUNK
+    samples: gradient accumulation over micro-batches.  Each slice's logit
+    gradient is scaled by its share of the batch, and its gradients are added
+    into the totals in slice order.  A slice's block caches are released
+    before the next slice's forward, so the step holds one slice's caches at
+    a time.  A batch of one slice gives classifier_forward(want_cache=True),
+    the loss and classifier_backward's results bit for bit; a larger one
+    agrees with them to roundoff, since its batch sums add in another order.
+    """
+    loss_fn = squared_error if regression else cross_entropy
+    n = len(inputs)
+    loss, grads = 0.0, None
+    for i in range(0, n, FORWARD_CHUNK):
+        chunk = inputs[i : i + FORWARD_CHUNK]
+        share = len(chunk) / n
+        caches = []  # drops the previous slice's caches
+        pooled = _features(chunk, state, cfg, plan, caches)
+        logits = pooled @ state.head_w + state.head_b[None, :]
+        part, dlogits = loss_fn(logits, labels[i : i + FORWARD_CHUNK])
+        dlogits *= share
+        part_grads = classifier_backward(
+            dlogits, {"caches": caches, "pooled": pooled}, chunk, state, cfg, plan
+        )
+        loss += part * share
+        if grads is None:
+            grads = part_grads
+        else:
+            for key, val in part_grads.items():
+                grads[key] += val
+    return loss, grads
+
+
 def _param_items(state: ModelState) -> list[tuple[str, np.ndarray]]:
     """Trainable tensors in their fixed declaration order."""
     items = []
@@ -566,14 +628,9 @@ def train(
     record(0)
     for step in range(1, train_cfg.steps + 1):
         inputs, labels = gen_batch(task, train_cfg.batch_size, data_rng)
-        logits, cache = classifier_forward(inputs, state, model_cfg, plan, want_cache=True)
-        if regression:
-            loss, dlogits = squared_error(logits, labels)
-        else:
-            loss, dlogits = cross_entropy(logits, labels)
+        loss, grads = _step_grads(inputs, labels, state, model_cfg, plan, regression)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite training loss {loss} at step {step} {hyper}")
-        grads = classifier_backward(dlogits, cache, inputs, state, model_cfg, plan)
         for name in names:
             if not np.all(np.isfinite(grads[name])):
                 raise TrainingDiverged(f"non-finite gradient in {name} at step {step} {hyper}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from sgconv.model import (
     _buffer_items,
     _embed_grad,
     _param_items,
+    _step_grads,
     block_backward,
     block_forward,
     classifier_backward,
@@ -335,6 +337,84 @@ class TestSlicedForward:
         seen.clear()
         classifier_forward(inputs, state, cfg, want_cache=True)
         assert seen == [40, 40]
+
+
+class TestSlicedStep:
+    """A training step runs forward, loss and backward over FORWARD_CHUNK-
+    sample slices and must agree with the whole-batch primitives."""
+
+    @staticmethod
+    def whole_batch(inputs, labels, state, cfg, plan, regression):
+        logits, cache = classifier_forward(inputs, state, cfg, plan, want_cache=True)
+        loss, dlogits = (squared_error if regression else cross_entropy)(logits, labels)
+        return loss, classifier_backward(dlogits, cache, inputs, state, cfg, plan)
+
+    @pytest.mark.parametrize(
+        "spec, kwargs",
+        [
+            (RECALL, dict(channels=8, n_blocks=1, scale_dim=4)),  # channels-last embedding
+            (ADDING, dict(channels=6, n_blocks=2, scale_dim=4)),
+        ],
+        ids=["tokens", "real-2-blocks"],
+    )
+    @pytest.mark.parametrize("batch", [1, 16, 17, 33])
+    def test_matches_the_whole_batch_primitives(self, spec, kwargs, batch):
+        cfg = ModelConfig.for_task(spec, **kwargs)
+        state = init_model(cfg, np.random.default_rng(44))
+        inputs, labels = gen_batch(spec, batch, np.random.default_rng(45))
+        plan = make_plan(cfg.seq_len)
+        regression = spec.is_regression
+        loss, grads = _step_grads(inputs, labels, state, cfg, plan, regression)
+        ref_loss, ref_grads = self.whole_batch(inputs, labels, state, cfg, plan, regression)
+        assert grads.keys() == ref_grads.keys() == {name for name, _ in _param_items(state)}
+        if batch <= FORWARD_CHUNK:  # one slice
+            assert loss == ref_loss
+            for name, ref in ref_grads.items():
+                np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+        else:  # the batch sums add slice by slice
+            assert abs(loss - ref_loss) <= 1e-15 * abs(ref_loss)
+            for name, ref in ref_grads.items():
+                err = np.abs(grads[name] - ref).max()
+                assert err <= 1e-13 * np.abs(ref).max(), name
+
+    def test_blocks_see_one_slice_per_call_in_training(self, monkeypatch):
+        cfg = tiny_config()
+        fwd, bwd = {}, {}
+
+        def fwd_spy(x, bp, *args, want_cache=False, **kwargs):
+            if want_cache:  # the held-out evals run without a cache
+                fwd.setdefault(id(bp), []).append(x.shape[0])
+            return block_forward(x, bp, *args, want_cache=want_cache, **kwargs)
+
+        def bwd_spy(dy, cache, bp, *args):
+            bwd.setdefault(id(bp), []).append(dy.shape[0])
+            return block_backward(dy, cache, bp, *args)
+
+        monkeypatch.setattr(model_mod, "block_forward", fwd_spy)
+        monkeypatch.setattr(model_mod, "block_backward", bwd_spy)
+        train(RECALL, cfg, TrainConfig(steps=1, batch_size=40, eval_samples=4, seed=46))
+        assert FORWARD_CHUNK == 16
+        assert list(fwd.values()) == [[16, 16, 8]] * cfg.n_blocks
+        assert list(bwd.values()) == [[16, 16, 8]] * cfg.n_blocks
+
+    def test_peak_memory_is_well_under_the_whole_batch_step(self):
+        # numpy reports its buffers to tracemalloc, so the peaks are exact
+        spec = TaskSpec(kind="first_token_recall", seq_len=256, num_classes=4)
+        cfg = ModelConfig.for_task(spec, channels=16, n_blocks=2)
+        state = init_model(cfg, np.random.default_rng(47))
+        inputs, labels = gen_batch(spec, 32, np.random.default_rng(48))
+        plan = make_plan(cfg.seq_len)
+
+        def peak(step):
+            step(inputs, labels, state, cfg, plan, False)  # fills the memoized tables
+            tracemalloc.start()
+            try:
+                step(inputs, labels, state, cfg, plan, False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(_step_grads) <= 0.6 * peak(self.whole_batch)
 
 
 class TestGradients:
