@@ -57,26 +57,59 @@ def causal_conv_direct(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.convolve(x, k)[: x.shape[0]].astype(x.dtype)
 
 
-def depthwise_conv_batch(x: np.ndarray, kernel, plan: ConvPlan) -> np.ndarray:
-    """Per-channel causal convolution of a (B, H, L) batch.
+def _require_real(a: np.ndarray, name: str) -> None:
+    if not np.issubdtype(a.dtype, np.floating):
+        raise ValueError(f"{name} must be real floating point, got dtype {a.dtype}")
+
+
+def _spectra(work: dict | None, shape: tuple, m: int, dtype) -> tuple:
+    """out= targets for the size-m transforms of a real (B, H, L) array: the
+    two complex (B, H, m/2+1) buffers that the work dict keeps for this shape
+    and dtype, made on first use, or (None, None) without a workspace, so
+    that numpy allocates each output as it always has."""
+    if work is None:
+        return None, None
+    ctype = np.result_type(dtype, np.complex64)
+    key = (shape[0], shape[1], m, ctype)
+    if key not in work:
+        size = (shape[0], shape[1], m // 2 + 1)
+        work[key] = (np.empty(size, ctype), np.empty(size, ctype))
+    return work[key]
+
+
+def _real_rows(buf: np.ndarray | None, m: int) -> np.ndarray | None:
+    """The first m reals of each row (stride m + 2) of a complex buffer, as an
+    irfft target; None for None."""
+    return None if buf is None else buf.view(buf.real.dtype)[..., :m]
+
+
+def depthwise_conv_batch(
+    x: np.ndarray, kernel, plan: ConvPlan, work: dict | None = None
+) -> np.ndarray:
+    """Per-channel causal convolution of a (B, H, L) batch of real floats.
 
     Channel h of the output depends only on channel h of the input and
     kernel.  Kernel spectra are computed once and shared across the batch.
     This is the only FFT convolution; a single sequence is a (1, 1, L) batch.
+    With a work dict both large transforms go into its buffers (_spectra),
+    and the result is a view into them, valid until the next call with that
+    work.
     """
     x = np.asarray(x)
     kv = _kernel_values(kernel)
     if x.ndim != 3:
         raise ValueError(f"input must have shape (B, H, L), got {x.shape}")
+    _require_real(x, "input")
     if kv.ndim != 2 or kv.shape[0] != x.shape[1]:
         raise ValueError(f"kernel shape {kv.shape} does not match input {x.shape}")
     if x.shape[2] != plan.seq_len or kv.shape[1] != plan.seq_len:
         raise ValueError(f"plan is for L={plan.seq_len}, got input L={x.shape[2]}")
     m = plan.fft_size
     kf = np.fft.rfft(kv.astype(x.dtype, copy=False), n=m)
-    xf = np.fft.rfft(x, n=m)
+    bx, by = _spectra(work, x.shape, m, x.dtype)
+    xf = np.fft.rfft(x, n=m, out=bx)
     xf *= kf[None, :, :]
-    y = np.fft.irfft(xf, n=m)[..., : plan.seq_len]
+    y = np.fft.irfft(xf, n=m, out=_real_rows(by, m))[..., : plan.seq_len]
     return y.astype(x.dtype, copy=False)
 
 

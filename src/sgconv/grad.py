@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import ConvPlan
+from .conv import ConvPlan, _real_rows, _require_real, _spectra
 from .kernel import (
     KernelConfig,
     ScaleParams,
@@ -24,14 +24,20 @@ from .kernel import (
 
 
 def depthwise_conv_adjoint_batch(
-    x: np.ndarray, kernel_values: np.ndarray, dy: np.ndarray, plan: ConvPlan
+    x: np.ndarray,
+    kernel_values: np.ndarray,
+    dy: np.ndarray,
+    plan: ConvPlan,
+    work: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of depthwise_conv_batch.
 
     Returns (dx, dk) where dx has shape (B, H, L) and dk has shape (H, L)
     with the batch contributions summed (fixed summation order):
     dx[n] = sum_m k[m]*dy[n+m] and dk[m] = sum_{n>=m} dy[n]*x[n-m], both
-    correlations evaluated in O(L log L).
+    correlations evaluated in O(L log L).  With a work dict the spectra and
+    the 2L-long dx go into its buffers (conv._spectra), and dx is a view into
+    them, valid until the next call with that work.
     """
     x = np.asarray(x)
     kv = np.asarray(kernel_values)
@@ -40,18 +46,22 @@ def depthwise_conv_adjoint_batch(
         raise ValueError(
             f"inconsistent shapes: x {x.shape}, dy {dy.shape}, kernel {kv.shape}"
         )
+    _require_real(x, "x")
+    _require_real(dy, "dy")
     if x.shape[2] != plan.seq_len:
         raise ValueError(f"plan is for L={plan.seq_len}, got input L={x.shape[2]}")
     m = plan.fft_size
     kf = np.fft.rfft(kv, n=m)
-    xf = np.fft.rfft(x, n=m)
-    dyf = np.fft.rfft(dy, n=m)
+    bx, bdy = _spectra(work, x.shape, m, np.result_type(x, dy))
+    xf = np.fft.rfft(x, n=m, out=bx)
+    dyf = np.fft.rfft(dy, n=m, out=bdy)
     # Spectral products in place: conj(xf)*dyf is summed into dk before dyf
-    # is overwritten with conj(kf)*dyf for dx.
+    # is overwritten with conj(kf)*dyf for dx, which a workspace writes over
+    # xf, dead by then.
     xf = np.multiply(np.conjugate(xf, out=xf), dyf, out=xf)
     dk = np.fft.irfft(xf.sum(axis=0), n=m)[..., : plan.seq_len]
     dyf = np.multiply(np.conj(kf)[None], dyf, out=dyf)
-    dx = np.fft.irfft(dyf, n=m)[..., : plan.seq_len]
+    dx = np.fft.irfft(dyf, n=m, out=_real_rows(bx, m))[..., : plan.seq_len]
     return dx, dk
 
 

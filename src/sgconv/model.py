@@ -206,15 +206,16 @@ def _act(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _act_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative 0.5*(1 + th) + 0.5*x*(1 - th^2)*c*(1 + 3a*x^2), th the GELU
-    tanh, of a (B, H, L) batch."""
-    out = np.empty_like(x)
+def _act_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Multiply dy in place by the GELU derivative at x, 0.5*(1 + th) +
+    0.5*x*(1 - th^2)*c*(1 + 3a*x^2) with th the GELU tanh, over a (B, H, L)
+    batch; returns dy."""
+    th = np.empty_like(x[0])
     q = np.empty_like(x[0])
     poly = np.empty_like(x[0])
     for b in range(x.shape[0]):
         xt = x[b]
-        th = _gelu_tanh(xt, out[b])
+        _gelu_tanh(xt, th)
         np.multiply(th, th, out=q)
         np.subtract(1.0, q, out=q)
         q *= xt
@@ -226,7 +227,8 @@ def _act_grad(x: np.ndarray) -> np.ndarray:
         th += 1.0
         th += q
         th *= 0.5
-    return out
+        dy[b] *= th
+    return dy
 
 
 def _layer_norm(
@@ -264,12 +266,14 @@ def block_forward(
     kcfg: KernelConfig,
     plan: ConvPlan,
     want_cache: bool = False,
+    work: dict | None = None,
 ):
     """One residual block: x + Mix(act(Conv(Norm(x)))).
 
     The kernel is rebuilt from the block's current parameters with its
     frozen normalizer, so learning reshapes the kernel while its init-time
-    scale convention stays fixed.
+    scale convention stays fixed.  The conv runs in work's buffers, which
+    nothing returned shares.
     """
     if x.ndim != 3 or x.shape[1] != kcfg.channels or x.shape[2] != kcfg.seq_len:
         raise ValueError(
@@ -278,10 +282,10 @@ def block_forward(
     xhat = np.empty(x.shape) if want_cache else None
     h, inv = _layer_norm(x, bp, xhat)
     kern = materialize(ScaleParams(weights=bp.weights), kcfg, normalizer=bp.kernel_norm)
-    c = depthwise_conv_batch(h, kern.values, plan)
+    c = depthwise_conv_batch(h, kern.values, plan, work=work)
     if want_cache:
-        # c is a view into the conv's 2L-long buffer; the cache keeps a
-        # compact copy instead of the whole buffer.
+        # c is a view into the conv's 2L-long buffer, which the next conv
+        # with the same work overwrites; the cache keeps a compact copy.
         c = c.copy()
     a = _act(c)
     y = np.matmul(bp.mix_w, a)
@@ -293,13 +297,23 @@ def block_forward(
     return y, cache
 
 
-def block_backward(dy: np.ndarray, cache: dict, bp: BlockParams, kcfg: KernelConfig, plan: ConvPlan):
-    """Adjoint of block_forward; returns (dx, grads dict)."""
+def block_backward(
+    dy: np.ndarray,
+    cache: dict,
+    bp: BlockParams,
+    kcfg: KernelConfig,
+    plan: ConvPlan,
+    work: dict | None = None,
+):
+    """Adjoint of block_forward; returns (dx, grads dict).
+
+    The conv adjoint runs in work's buffers; its dh, a view into them, is
+    consumed here, and nothing returned shares them.
+    """
     dmix_w = np.matmul(dy, cache["a"].transpose(0, 2, 1)).sum(axis=0)
     dmix_b = dy.sum(axis=(0, 2))
-    dc = np.matmul(bp.mix_w.T, dy)
-    dc *= _act_grad(cache["c"])
-    dh, dkernel = depthwise_conv_adjoint_batch(cache["h"], cache["kernel"], dc, plan)
+    dc = _act_grad(cache["c"], np.matmul(bp.mix_w.T, dy))
+    dh, dkernel = depthwise_conv_adjoint_batch(cache["h"], cache["kernel"], dc, plan, work=work)
     dweights = kernel_param_grad(dkernel, ScaleParams(weights=bp.weights), kcfg, bp.kernel_norm)
     xhat, inv = cache["xhat"], cache["inv"]
     gamma = bp.gamma[:, None]
@@ -371,16 +385,18 @@ def _features(
     cfg: ModelConfig,
     plan: ConvPlan,
     caches: list | None = None,
+    work: dict | None = None,
 ) -> np.ndarray:
     """Embed or project, run the block stack and mean-pool: the (B, H)
-    pooled rows.  Each block's cache is appended to caches when it is a list."""
+    pooled rows.  Each block's cache is appended to caches when it is a
+    list; the convs run in work's buffers."""
     kcfg = cfg.kernel_config()
     x = _embed_inputs(inputs, state, cfg)
     for bp in state.blocks:
         if caches is None:
-            x = block_forward(x, bp, kcfg, plan)
+            x = block_forward(x, bp, kcfg, plan, work=work)
         else:
-            x, cache = block_forward(x, bp, kcfg, plan, want_cache=True)
+            x, cache = block_forward(x, bp, kcfg, plan, want_cache=True, work=work)
             caches.append(cache)
     return x.mean(axis=2)
 
@@ -421,8 +437,10 @@ def classifier_backward(
     state: ModelState,
     cfg: ModelConfig,
     plan: ConvPlan,
+    work: dict | None = None,
 ) -> dict:
-    """Gradients of every trainable tensor, keyed like _param_items."""
+    """Gradients of every trainable tensor, keyed like _param_items; the
+    conv adjoints run in work's buffers, which no gradient shares."""
     kcfg = cfg.kernel_config()
     grads = {}
     pooled = fwd_cache["pooled"]
@@ -433,7 +451,7 @@ def classifier_backward(
     L = cfg.seq_len
     dx = np.broadcast_to(dpooled[:, :, None] / L, (b, h, L)).copy()
     for i in reversed(range(len(state.blocks))):
-        dx, bg = block_backward(dx, fwd_cache["caches"][i], state.blocks[i], kcfg, plan)
+        dx, bg = block_backward(dx, fwd_cache["caches"][i], state.blocks[i], kcfg, plan, work=work)
         for key, val in bg.items():
             grads[f"block{i}.{key}"] = val
     if cfg.vocab_size is not None:
@@ -474,6 +492,7 @@ def _step_grads(
     cfg: ModelConfig,
     plan: ConvPlan,
     regression: bool,
+    work: dict | None = None,
 ) -> tuple[float, dict]:
     """Mean loss of a training batch and its gradients, keyed like
     _param_items.
@@ -486,6 +505,9 @@ def _step_grads(
     a time.  A batch of one slice gives classifier_forward(want_cache=True),
     the loss and classifier_backward's results bit for bit; a larger one
     agrees with them to roundoff, since its batch sums add in another order.
+    The convs and their adjoints write their large transforms into work's
+    buffers, one pair per slice shape, which every later slice and step
+    handed the same work reuses.
     """
     loss_fn = squared_error if regression else cross_entropy
     n = len(inputs)
@@ -494,12 +516,12 @@ def _step_grads(
         chunk = inputs[i : i + FORWARD_CHUNK]
         share = len(chunk) / n
         caches = []  # drops the previous slice's caches
-        pooled = _features(chunk, state, cfg, plan, caches)
+        pooled = _features(chunk, state, cfg, plan, caches, work=work)
         logits = pooled @ state.head_w + state.head_b[None, :]
         part, dlogits = loss_fn(logits, labels[i : i + FORWARD_CHUNK])
         dlogits *= share
         part_grads = classifier_backward(
-            dlogits, {"caches": caches, "pooled": pooled}, chunk, state, cfg, plan
+            dlogits, {"caches": caches, "pooled": pooled}, chunk, state, cfg, plan, work=work
         )
         loss += part * share
         if grads is None:
@@ -626,9 +648,10 @@ def train(
         log.append({"step": step, "loss": loss, "acc": acc})
 
     record(0)
+    work = {}  # the steps' spectrum buffers, reused by every slice and step
     for step in range(1, train_cfg.steps + 1):
         inputs, labels = gen_batch(task, train_cfg.batch_size, data_rng)
-        loss, grads = _step_grads(inputs, labels, state, model_cfg, plan, regression)
+        loss, grads = _step_grads(inputs, labels, state, model_cfg, plan, regression, work=work)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite training loss {loss} at step {step} {hyper}")
         for name in names:

@@ -184,6 +184,46 @@ class TestDepthwiseBatch:
         with pytest.raises(ValueError):
             depthwise_conv_batch(np.zeros((1, 3, 16)), np.zeros((2, 16)), make_plan(16))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.complex128, np.bool_])
+    def test_rejects_input_that_is_not_real_float(self, dtype):
+        # an integer input used to cast the kernel to int64 and return zeros
+        x = np.array([[[1, 2, 3, 4]]]).astype(dtype)
+        with pytest.raises(ValueError, match=f"got dtype {np.dtype(dtype)}"):
+            depthwise_conv_batch(x, [[0.5, 0.25, 0.1, 0.05]], make_plan(4))
+
+
+class TestWorkspace:
+    """The forward writes its transforms into a caller's workspace."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("L", [1, 100, 1024])
+    @pytest.mark.parametrize("B", [1, 3, 16])
+    def test_matches_fresh_buffers_bit_for_bit(self, B, L, dtype):
+        rng = np.random.default_rng(B * L)
+        x = rng.standard_normal((B, 4, L)).astype(dtype)
+        k = rng.standard_normal((4, L)).astype(dtype)
+        plan = make_plan(L)
+        ref = depthwise_conv_batch(x, k, plan)
+        y = depthwise_conv_batch(x, k, plan, work={})
+        assert y.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(y, ref)
+
+    def test_second_call_reuses_the_buffers(self):
+        rng = np.random.default_rng(12)
+        x, x2 = rng.standard_normal((2, 3, 4, 100))
+        k = rng.standard_normal((4, 100))
+        plan = make_plan(100)
+        work = {}
+        y = depthwise_conv_batch(x, k, plan, work=work)
+        (key, pair), = work.items()
+        assert key == (3, 4, plan.fft_size, np.dtype(np.complex128))
+        assert all(buf.shape == (3, 4, plan.fft_size // 2 + 1) for buf in pair)
+        assert np.shares_memory(y, pair[1])
+        y2 = depthwise_conv_batch(x2, k, plan, work=work)
+        assert list(work.items()) == [(key, pair)]
+        assert np.shares_memory(y2, pair[1])
+        np.testing.assert_array_equal(y2, depthwise_conv_batch(x2, k, plan))
+
 
 class TestDirectBlocked:
     @pytest.mark.parametrize("L,block", [(16, 16), (100, 16), (128, 32), (37, 8), (64, 128)])

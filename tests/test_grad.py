@@ -95,6 +95,51 @@ class TestConvAdjoint:
             )
 
 
+    @pytest.mark.parametrize(
+        "x_dtype, dy_dtype, bad", [(np.int64, float, "int64"), (float, np.complex128, "complex128")]
+    )
+    def test_rejects_operands_that_are_not_real_float(self, x_dtype, dy_dtype, bad):
+        x = np.ones((1, 1, 4), dtype=x_dtype)
+        dy = np.ones((1, 1, 4), dtype=dy_dtype)
+        with pytest.raises(ValueError, match=f"got dtype {bad}"):
+            depthwise_conv_adjoint_batch(x, np.ones((1, 4)), dy, make_plan(4))
+
+
+class TestAdjointWorkspace:
+    """The adjoint writes its transforms into a caller's workspace."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("L", [1, 100, 1024])
+    @pytest.mark.parametrize("B", [1, 3, 16])
+    def test_matches_fresh_buffers_bit_for_bit(self, B, L, dtype):
+        rng = np.random.default_rng(B * L + 1)
+        x, dy = rng.standard_normal((2, B, 4, L)).astype(dtype)
+        k = rng.standard_normal((4, L)).astype(dtype)
+        plan = make_plan(L)
+        ref_dx, ref_dk = depthwise_conv_adjoint_batch(x, k, dy, plan)
+        dx, dk = depthwise_conv_adjoint_batch(x, k, dy, plan, work={})
+        assert dx.dtype == ref_dx.dtype == dtype
+        np.testing.assert_array_equal(dx, ref_dx)
+        np.testing.assert_array_equal(dk, ref_dk)
+
+    def test_shares_the_forward_pair_and_reuses_it(self):
+        rng = np.random.default_rng(13)
+        x, dy, dy2 = rng.standard_normal((3, 3, 4, 100))
+        k = rng.standard_normal((4, 100))
+        plan = make_plan(100)
+        work = {}
+        depthwise_conv_batch(x, k, plan, work=work)
+        (key, pair), = work.items()
+        for cot in (dy, dy2):
+            dx, dk = depthwise_conv_adjoint_batch(x, k, cot, plan, work=work)
+            assert list(work.items()) == [(key, pair)]
+            assert np.shares_memory(dx, pair[0])
+            assert not any(np.shares_memory(dk, buf) for buf in pair)
+            ref_dx, ref_dk = depthwise_conv_adjoint_batch(x, k, cot, plan)
+            np.testing.assert_array_equal(dx, ref_dx)
+            np.testing.assert_array_equal(dk, ref_dk)
+
+
 class TestBatchAdjoint:
     def test_inner_product_identity(self):
         rng = np.random.default_rng(3)

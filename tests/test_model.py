@@ -66,6 +66,11 @@ def whole_array_layer_norm_adjoint(dh, dy, xhat, inv, bp):
     return dx * inv + dy, dgamma, dbeta
 
 
+def gelu_grad(x):
+    """The GELU derivative at x, read off _act_grad's in-place product with ones."""
+    return _act_grad(x, np.ones_like(x))
+
+
 class TestBlock:
     def test_zero_mix_stack_is_identity(self):
         cfg = tiny_config(n_blocks=3)
@@ -156,7 +161,7 @@ class TestBlock:
         dy_before = dy.copy()
         dx, grads = block_backward(dy, cache, bp, cfg.kernel_config(), plan)
 
-        dc = (bp.mix_w.T @ dy) * _act_grad(cache["c"])
+        dc = (bp.mix_w.T @ dy) * gelu_grad(cache["c"])
         dh, _ = depthwise_conv_adjoint_batch(cache["h"], cache["kernel"], dc, plan)
         expect = whole_array_layer_norm_adjoint(dh, dy, cache["xhat"], cache["inv"], bp)
         for got, ref in zip((dx, grads["gamma"], grads["beta"]), expect):
@@ -198,7 +203,7 @@ class TestActivation:
         # relative to max(|ref|, 1): where 1 + tanh saturates (x < -3) the
         # value is below 1e-4 and both formulas keep only absolute precision
         value, grad = self.reference(self.X)
-        for got, ref in ((_act(self.X), value), (_act_grad(self.X), grad)):
+        for got, ref in ((_act(self.X), value), (gelu_grad(self.X), grad)):
             err = np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)
             assert err.max() <= 1e-14
             np.testing.assert_array_equal(got.ravel()[:7], ref.ravel()[:7])
@@ -206,7 +211,7 @@ class TestActivation:
     def test_gelu_leaves_input_untouched(self):
         x = self.X.copy()
         _act(x)
-        _act_grad(x)
+        _act_grad(x, np.ones_like(x))
         np.testing.assert_array_equal(x, self.X)
 
     @staticmethod
@@ -235,8 +240,16 @@ class TestActivation:
         x_before = x.copy()
         value, grad = self.whole_array(x)
         np.testing.assert_array_equal(_act(x), value)
-        np.testing.assert_array_equal(_act_grad(x), grad)
+        np.testing.assert_array_equal(gelu_grad(x), grad)
         np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("kind", ["3-D", "view"])
+    def test_grad_is_multiplied_into_dy_in_place(self, kind):
+        x = self.inputs()[kind]
+        dy = np.random.default_rng(32).standard_normal(x.shape)
+        expect = dy * self.whole_array(x)[1]
+        assert _act_grad(x, dy) is dy
+        np.testing.assert_array_equal(dy, expect)
 
 
 class TestEmbedGrad:
@@ -386,9 +399,9 @@ class TestSlicedStep:
                 fwd.setdefault(id(bp), []).append(x.shape[0])
             return block_forward(x, bp, *args, want_cache=want_cache, **kwargs)
 
-        def bwd_spy(dy, cache, bp, *args):
+        def bwd_spy(dy, cache, bp, *args, **kwargs):
             bwd.setdefault(id(bp), []).append(dy.shape[0])
-            return block_backward(dy, cache, bp, *args)
+            return block_backward(dy, cache, bp, *args, **kwargs)
 
         monkeypatch.setattr(model_mod, "block_forward", fwd_spy)
         monkeypatch.setattr(model_mod, "block_backward", bwd_spy)
@@ -415,6 +428,93 @@ class TestSlicedStep:
                 tracemalloc.stop()
 
         assert peak(_step_grads) <= 0.6 * peak(self.whole_batch)
+
+
+class TestStepWorkspace:
+    """train hands one spectrum workspace to every slice and step."""
+
+    @staticmethod
+    def buffers(work):
+        return [buf for pair in work.values() for buf in pair]
+
+    @pytest.mark.parametrize("batch", [32, 40])  # two full slices; 16 + 16 + 8
+    def test_train_is_bit_identical_without_the_workspace(self, monkeypatch, batch):
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=3, batch_size=batch, eval_samples=8, eval_every=1, seed=49)
+        works = []
+
+        def keep(*args, work=None):
+            works.append(work)
+            return _step_grads(*args, work=work)
+
+        def drop(*args, work=None):
+            return _step_grads(*args)
+
+        monkeypatch.setattr(model_mod, "_step_grads", keep)
+        got = train(RECALL, cfg, tcfg)
+        monkeypatch.setattr(model_mod, "_step_grads", drop)
+        ref = train(RECALL, cfg, tcfg)
+        assert got.log == ref.log
+        for (name, value), (_, expect) in zip(_param_items(got.state), _param_items(ref.state)):
+            np.testing.assert_array_equal(value, expect, err_msg=name)
+        work = works[0]
+        assert all(w is work for w in works) and len(works) == tcfg.steps
+        assert sorted(key[0] for key in work) == sorted({FORWARD_CHUNK, batch % FORWARD_CHUNK} - {0})
+        for _, value in _param_items(got.state):
+            assert not any(np.shares_memory(value, buf) for buf in self.buffers(work))
+
+    @pytest.mark.parametrize("spec", [RECALL, ADDING], ids=["tokens", "real"])
+    def test_no_loss_gradient_or_logit_shares_the_workspace(self, spec):
+        cfg = ModelConfig.for_task(spec, channels=6, n_blocks=2, scale_dim=4)
+        state = init_model(cfg, np.random.default_rng(50))
+        inputs, labels = gen_batch(spec, 20, np.random.default_rng(51))
+        plan = make_plan(cfg.seq_len)
+        work = {}
+        loss, grads = _step_grads(inputs, labels, state, cfg, plan, spec.is_regression, work=work)
+        assert isinstance(loss, float) and len(work) == 2
+        logits, cache = classifier_forward(inputs, state, cfg, plan, want_cache=True)
+        dlogits = np.ones_like(logits)
+        more = classifier_backward(dlogits, cache, inputs, state, cfg, plan, work=work)
+        returned = [*grads.values(), *more.values(), logits]
+        for cached in cache["caches"]:
+            returned += list(cached.values())
+        assert len(work) == 3  # the whole-batch backward added its own pair
+        for arr in returned:
+            assert not any(np.shares_memory(arr, buf) for buf in self.buffers(work))
+
+    def test_warm_workspace_step_allocates_no_spectrum(self, monkeypatch):
+        spec = TaskSpec(kind="first_token_recall", seq_len=256, num_classes=4)
+        cfg = ModelConfig.for_task(spec, channels=16, n_blocks=2)
+        state = init_model(cfg, np.random.default_rng(47))
+        inputs, labels = gen_batch(spec, 32, np.random.default_rng(48))
+        plan = make_plan(cfg.seq_len)
+        work = {}
+        _step_grads(inputs, labels, state, cfg, plan, False, work=work)  # warms work
+        before = {key: [id(buf) for buf in pair] for key, pair in work.items()}
+        spectrum = min(buf.nbytes for buf in self.buffers(work))
+        allocated = []  # bytes each transform allocated at its peak
+
+        def watch(fft):
+            def call(*args, **kwargs):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fft(*args, **kwargs)
+                allocated.append(tracemalloc.get_traced_memory()[1] - start)
+                return out
+
+            return call
+
+        monkeypatch.setattr(np.fft, "rfft", watch(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", watch(np.fft.irfft))
+        tracemalloc.start()
+        try:
+            _step_grads(inputs, labels, state, cfg, plan, False, work=work)
+        finally:
+            tracemalloc.stop()
+        assert len(allocated) == 2 * cfg.n_blocks * 8  # two slices, 5 rfft + 3 irfft a block
+        # the kernel transforms are (H, m/2+1), a sixteenth of a slice's spectrum
+        assert max(allocated) < spectrum / 4
+        assert {key: [id(buf) for buf in pair] for key, pair in work.items()} == before
 
 
 class TestGradients:
