@@ -2,10 +2,13 @@
 classifier and training loop.
 
 The block is pre-normalized: y = x + Mix(act(DepthwiseConv(Norm(x)))), with
-the convolution kernel rebuilt from the current parameters on every forward
-pass (its normalizer stays frozen at the init-time value).  All gradients
-are the hand-written adjoints from the grad module; there is no autodiff
-anywhere.
+the convolution kernel rebuilt from the current parameters once per forward
+pass or training step (its normalizer stays frozen at the init-time value).
+The classifier reads out the mean of the last block's output over the
+sequence, and Mix is affine, so the last block computes only that mean,
+mean_L(x) + Mix(mean_L(act(...))), and its adjoint starts from the pooled
+gradient.  All gradients are the hand-written adjoints from the grad
+module; there is no autodiff anywhere.
 """
 
 from __future__ import annotations
@@ -194,22 +197,29 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 # temporaries are a few (H, L) scratch tiles per call, reused by every
 # sample.  Layer norm reduces over the channels, which a sample keeps whole,
 # so the per-sample results are bit-identical to whole-batch ones.
-def _act(x: np.ndarray) -> np.ndarray:
-    """GELU of a (B, H, L) batch, as a new array laid out like x."""
-    out = np.empty_like(x)
+def _act(x: np.ndarray, pool: bool = False) -> np.ndarray:
+    """GELU of a (B, H, L) batch, as a new array laid out like x; with pool,
+    only its (B, H) mean over L, each sample's GELU going through one
+    scratch tile."""
+    out = np.empty(x.shape[:2]) if pool else np.empty_like(x)
+    tile = np.empty_like(x[0]) if pool else None
     for b in range(x.shape[0]):
         xt = x[b]
-        o = _gelu_tanh(xt, out[b])
+        o = _gelu_tanh(xt, tile if pool else out[b])
         o += 1.0
         o *= xt
         o *= 0.5
+        if pool:
+            o.mean(axis=1, out=out[b])
     return out
 
 
 def _act_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Multiply dy in place by the GELU derivative at x, 0.5*(1 + th) +
-    0.5*x*(1 - th^2)*c*(1 + 3a*x^2) with th the GELU tanh, over a (B, H, L)
-    batch; returns dy."""
+    """dy times the GELU derivative at x, 0.5*(1 + th) + 0.5*x*(1 - th^2)*
+    c*(1 + 3a*x^2) with th the GELU tanh, over a (B, H, L) batch.  A dy of
+    x's shape is multiplied in place and returned; a (B, H, 1) dy is
+    broadcast along L into a new array."""
+    out = dy if dy.shape == x.shape else np.empty(x.shape)
     th = np.empty_like(x[0])
     q = np.empty_like(x[0])
     poly = np.empty_like(x[0])
@@ -227,8 +237,8 @@ def _act_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         th += 1.0
         th += q
         th *= 0.5
-        dy[b] *= th
-    return dy
+        np.multiply(dy[b], th, out=out[b])
+    return out
 
 
 def _layer_norm(
@@ -260,6 +270,12 @@ def _layer_norm(
     return h, inv
 
 
+def _kernel(bp: BlockParams, kcfg: KernelConfig) -> np.ndarray:
+    """The block's (H, L) kernel, rebuilt from its current parameters under
+    its frozen normalizer."""
+    return materialize(ScaleParams(weights=bp.weights), kcfg, normalizer=bp.kernel_norm).values
+
+
 def block_forward(
     x: np.ndarray,
     bp: BlockParams,
@@ -267,13 +283,20 @@ def block_forward(
     plan: ConvPlan,
     want_cache: bool = False,
     work: dict | None = None,
+    kernel: np.ndarray | None = None,
+    pool: bool = False,
 ):
     """One residual block: x + Mix(act(Conv(Norm(x)))).
 
     The kernel is rebuilt from the block's current parameters with its
-    frozen normalizer, so learning reshapes the kernel while its init-time
-    scale convention stays fixed.  The conv runs in work's buffers, which
-    nothing returned shares.
+    frozen normalizer (or taken as given, already built so), so learning
+    reshapes the kernel while its init-time scale convention stays fixed.
+    The conv runs in work's buffers, which nothing returned shares.
+
+    With pool the block returns only its output's (B, H) mean over L,
+    mean_L(x) + Mix(mean_L(act)): the mix and the residual then run on
+    pooled rows, and the cache keeps abar, the activation's mean, in place
+    of the activation.
     """
     if x.ndim != 3 or x.shape[1] != kcfg.channels or x.shape[2] != kcfg.seq_len:
         raise ValueError(
@@ -281,19 +304,29 @@ def block_forward(
         )
     xhat = np.empty(x.shape) if want_cache else None
     h, inv = _layer_norm(x, bp, xhat)
-    kern = materialize(ScaleParams(weights=bp.weights), kcfg, normalizer=bp.kernel_norm)
-    c = depthwise_conv_batch(h, kern.values, plan, work=work)
+    if kernel is None:
+        kernel = _kernel(bp, kcfg)
+    c = depthwise_conv_batch(h, kernel, plan, work=work)
     if want_cache:
         # c is a view into the conv's 2L-long buffer, which the next conv
         # with the same work overwrites; the cache keeps a compact copy.
         c = c.copy()
-    a = _act(c)
-    y = np.matmul(bp.mix_w, a)
-    y += bp.mix_b[None, :, None]
-    y += x
+    if pool:
+        # a matvec per sample, so a pooled row rounds alike in any batch
+        a = _act(c, pool=True)
+        y = np.matmul(bp.mix_w, a[:, :, None])[:, :, 0]
+        y += bp.mix_b[None, :]
+        for b in range(x.shape[0]):
+            y[b] += x[b].mean(axis=1)
+    else:
+        a = _act(c)
+        y = np.matmul(bp.mix_w, a)
+        y += bp.mix_b[None, :, None]
+        y += x
     if not want_cache:
         return y
-    cache = {"xhat": xhat, "inv": inv, "h": h, "kernel": kern.values, "c": c, "a": a}
+    cache = {"xhat": xhat, "inv": inv, "h": h, "kernel": kernel, "c": c}
+    cache["abar" if pool else "a"] = a
     return y, cache
 
 
@@ -307,19 +340,35 @@ def block_backward(
 ):
     """Adjoint of block_forward; returns (dx, grads dict).
 
-    The conv adjoint runs in work's buffers; its dh, a view into them, is
-    consumed here, and nothing returned shares them.
+    dy is (B, H) for a pooled cache and (B, H, L) otherwise; a pooled
+    block's dy reaches every position as dy / L.  The conv adjoint runs in
+    work's buffers; its dh, a view into them, is consumed here, and nothing
+    returned shares them.
     """
-    dmix_w = np.matmul(dy, cache["a"].transpose(0, 2, 1)).sum(axis=0)
-    dmix_b = dy.sum(axis=(0, 2))
-    dc = _act_grad(cache["c"], np.matmul(bp.mix_w.T, dy))
+    c = cache["c"]
+    pooled = "abar" in cache
+    want = c.shape[:2] if pooled else c.shape
+    if dy.shape != want:
+        kind = "pooled" if pooled else "full"
+        raise ValueError(f"dy has shape {dy.shape}, but the {kind} cache needs {want}")
+    if pooled:
+        L = c.shape[2]
+        dmix_w = dy.T @ cache["abar"]
+        dmix_b = dy.sum(axis=0)
+        dres = (dy / L)[:, :, None]  # the residual's share of each position
+        dc = _act_grad(c, (dy @ bp.mix_w)[:, :, None] / L)
+    else:
+        dmix_w = np.matmul(dy, cache["a"].transpose(0, 2, 1)).sum(axis=0)
+        dmix_b = dy.sum(axis=(0, 2))
+        dres = dy
+        dc = _act_grad(c, np.matmul(bp.mix_w.T, dy))
     dh, dkernel = depthwise_conv_adjoint_batch(cache["h"], cache["kernel"], dc, plan, work=work)
     dweights = kernel_param_grad(dkernel, ScaleParams(weights=bp.weights), kcfg, bp.kernel_norm)
     xhat, inv = cache["xhat"], cache["inv"]
     gamma = bp.gamma[:, None]
     dgamma = np.zeros(kcfg.channels)
     dbeta = np.zeros(kcfg.channels)
-    dx = np.empty(dy.shape)
+    dx = np.empty(c.shape)
     prod = np.empty_like(xhat[0])  # row-major, like the products it replaces
     dxhat = np.empty_like(xhat[0])
     for b in range(dy.shape[0]):
@@ -331,7 +380,7 @@ def block_backward(
         dxhat *= xt  # now dxhat * xhat
         dxt -= np.multiply(xt, dxhat.mean(axis=0), out=prod)
         dxt *= inv[b]
-        dxt += dy[b]
+        dxt += dres[b]
     grads = {
         "weights": dweights,
         "gamma": dgamma,
@@ -384,21 +433,26 @@ def _features(
     state: ModelState,
     cfg: ModelConfig,
     plan: ConvPlan,
+    kernels: list[np.ndarray] | None = None,
     caches: list | None = None,
     work: dict | None = None,
 ) -> np.ndarray:
     """Embed or project, run the block stack and mean-pool: the (B, H)
-    pooled rows.  Each block's cache is appended to caches when it is a
-    list; the convs run in work's buffers."""
+    pooled rows.  The blocks convolve with the given kernels, one per block,
+    or else build their own, and the last block pools its own output.  Each
+    block's cache is appended to caches when it is a list; the convs run in
+    work's buffers."""
     kcfg = cfg.kernel_config()
     x = _embed_inputs(inputs, state, cfg)
-    for bp in state.blocks:
+    last = len(state.blocks) - 1
+    for i, bp in enumerate(state.blocks):
+        kwargs = dict(work=work, kernel=None if kernels is None else kernels[i], pool=i == last)
         if caches is None:
-            x = block_forward(x, bp, kcfg, plan, work=work)
+            x = block_forward(x, bp, kcfg, plan, **kwargs)
         else:
-            x, cache = block_forward(x, bp, kcfg, plan, want_cache=True, work=work)
+            x, cache = block_forward(x, bp, kcfg, plan, want_cache=True, **kwargs)
             caches.append(cache)
-    return x.mean(axis=2)
+    return x
 
 
 def classifier_forward(
@@ -410,20 +464,30 @@ def classifier_forward(
 ):
     """Embed or project, run the block stack, pool, and read out logits.
 
-    Without a cache, the batch runs up to the pooling in slices of at most
-    FORWARD_CHUNK samples, and the head then reads out all of them at once;
-    the logits are bit-identical to an unsliced pass.
+    Each block's kernel is built once per call.  Without a cache, the batch
+    runs up to the pooling in slices of at most FORWARD_CHUNK samples, which
+    share one spectrum workspace private to the call, and the head then
+    reads out all of them at once; the logits are bit-identical to an
+    unsliced pass.
     """
     if plan is None:
         plan = make_plan(cfg.seq_len)
     if want_cache:
         caches = []
-        pooled = _features(inputs, state, cfg, plan, caches)
+        pooled = _features(inputs, state, cfg, plan, caches=caches)
     else:
+        # The slices share each block's kernel and one spectrum workspace.
+        # A single slice (a request) shares them with nothing, so it builds
+        # each kernel inside its block and lets numpy allocate the
+        # transforms, holding neither past its use.
+        kernels = work = None
+        if len(inputs) > FORWARD_CHUNK:
+            kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
+            work = {}
         pooled = np.empty((len(inputs), cfg.channels))
         for i in range(0, len(inputs), FORWARD_CHUNK):
             chunk = inputs[i : i + FORWARD_CHUNK]
-            pooled[i : i + len(chunk)] = _features(chunk, state, cfg, plan)
+            pooled[i : i + len(chunk)] = _features(chunk, state, cfg, plan, kernels, work=work)
     logits = pooled @ state.head_w + state.head_b[None, :]
     if not want_cache:
         return logits
@@ -446,10 +510,7 @@ def classifier_backward(
     pooled = fwd_cache["pooled"]
     grads["head_w"] = pooled.T @ dlogits
     grads["head_b"] = dlogits.sum(axis=0)
-    dpooled = dlogits @ state.head_w.T
-    b, h = dpooled.shape
-    L = cfg.seq_len
-    dx = np.broadcast_to(dpooled[:, :, None] / L, (b, h, L)).copy()
+    dx = dlogits @ state.head_w.T  # the last block's cache is pooled
     for i in reversed(range(len(state.blocks))):
         dx, bg = block_backward(dx, fwd_cache["caches"][i], state.blocks[i], kcfg, plan, work=work)
         for key, val in bg.items():
@@ -505,18 +566,20 @@ def _step_grads(
     a time.  A batch of one slice gives classifier_forward(want_cache=True),
     the loss and classifier_backward's results bit for bit; a larger one
     agrees with them to roundoff, since its batch sums add in another order.
-    The convs and their adjoints write their large transforms into work's
-    buffers, one pair per slice shape, which every later slice and step
-    handed the same work reuses.
+    Each block's kernel is built once per step.  The convs and their
+    adjoints write their large transforms into work's buffers, one pair per
+    slice shape, which every later slice and step handed the same work
+    reuses.
     """
     loss_fn = squared_error if regression else cross_entropy
+    kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
     n = len(inputs)
     loss, grads = 0.0, None
     for i in range(0, n, FORWARD_CHUNK):
         chunk = inputs[i : i + FORWARD_CHUNK]
         share = len(chunk) / n
         caches = []  # drops the previous slice's caches
-        pooled = _features(chunk, state, cfg, plan, caches, work=work)
+        pooled = _features(chunk, state, cfg, plan, kernels, caches, work=work)
         logits = pooled @ state.head_w + state.head_b[None, :]
         part, dlogits = loss_fn(logits, labels[i : i + FORWARD_CHUNK])
         dlogits *= share

@@ -182,6 +182,67 @@ class TestBlock:
             )
 
 
+class TestPooledBlock:
+    """The last block pools its own output: mean_L(x) + Mix(mean_L(act))."""
+
+    @staticmethod
+    def setup(layout="row-major", batch=3):
+        cfg = tiny_config(n_blocks=1)
+        bp = init_model(cfg, np.random.default_rng(60)).blocks[0]
+        bp.gamma = np.random.default_rng(61).uniform(0.5, 1.5, cfg.channels)
+        bp.mix_b = np.random.default_rng(62).standard_normal(cfg.channels)
+        x = np.random.default_rng(63).standard_normal((batch, cfg.seq_len, cfg.channels))
+        x = x.transpose(0, 2, 1)  # channels-last, as a token embedding reaches a block
+        if layout == "row-major":
+            x = np.ascontiguousarray(x)
+        return cfg, bp, x, make_plan(cfg.seq_len)
+
+    @pytest.mark.parametrize("layout", ["row-major", "channels-last"])
+    def test_output_is_the_mean_of_the_full_output(self, layout):
+        cfg, bp, x, plan = self.setup(layout)
+        kcfg = cfg.kernel_config()
+        ref = block_forward(x, bp, kcfg, plan).mean(axis=2)
+        pooled, _ = block_forward(x, bp, kcfg, plan, want_cache=True, pool=True)
+        assert pooled.shape == ref.shape
+        np.testing.assert_array_equal(block_forward(x, bp, kcfg, plan, pool=True), pooled)
+        assert np.abs(pooled - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_cache_keeps_the_mean_activation_not_the_activation(self):
+        cfg, bp, x, plan = self.setup()
+        _, cache = block_forward(x, bp, cfg.kernel_config(), plan, want_cache=True, pool=True)
+        assert "a" not in cache
+        assert cache["abar"].shape == x.shape[:2]
+        np.testing.assert_array_equal(cache["abar"], _act(cache["c"]).mean(axis=2))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_backward_matches_the_full_block_fed_the_broadcast_gradient(self, batch):
+        cfg, bp, x, plan = self.setup("channels-last", batch)
+        kcfg = cfg.kernel_config()
+        _, full = block_forward(x, bp, kcfg, plan, want_cache=True)
+        _, pooled = block_forward(x, bp, kcfg, plan, want_cache=True, pool=True)
+        dpooled = np.random.default_rng(64).standard_normal(x.shape[:2])
+        dy = np.broadcast_to(dpooled[:, :, None] / cfg.seq_len, x.shape).copy()
+        ref_dx, ref = block_backward(dy, full, bp, kcfg, plan)
+        dx, grads = block_backward(dpooled, pooled, bp, kcfg, plan)
+        assert grads.keys() == ref.keys()
+        for name, got, expect in [("dx", dx, ref_dx), *((k, grads[k], ref[k]) for k in ref)]:
+            assert got.shape == expect.shape, name
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), name
+
+    def test_backward_rejects_a_gradient_that_does_not_fit_the_cache(self):
+        cfg, bp, x, plan = self.setup()
+        kcfg = cfg.kernel_config()
+        _, full = block_forward(x, bp, kcfg, plan, want_cache=True)
+        _, pooled = block_forward(x, bp, kcfg, plan, want_cache=True, pool=True)
+        b, h, L = x.shape
+        with pytest.raises(ValueError, match=rf"\({b}, {h}, {L}\).*pooled.*\({b}, {h}\)"):
+            block_backward(np.zeros(x.shape), pooled, bp, kcfg, plan)
+        with pytest.raises(ValueError, match=rf"\({b}, {h}\).*full.*\({b}, {h}, {L}\)"):
+            block_backward(np.zeros((b, h)), full, bp, kcfg, plan)
+        with pytest.raises(ValueError, match=rf"\({b + 1}, {h}\).*\({b}, {h}\)"):
+            block_backward(np.zeros((b + 1, h)), pooled, bp, kcfg, plan)
+
+
 class TestActivation:
     """GELU against the former pow-based formula, kept here as the reference."""
 
@@ -250,6 +311,20 @@ class TestActivation:
         expect = dy * self.whole_array(x)[1]
         assert _act_grad(x, dy) is dy
         np.testing.assert_array_equal(dy, expect)
+
+    @pytest.mark.parametrize("kind", ["3-D", "view"])
+    def test_grad_broadcasts_a_per_channel_dy_along_the_sequence(self, kind):
+        x = self.inputs()[kind]
+        dy = np.random.default_rng(33).standard_normal((*x.shape[:2], 1))
+        dy_before = dy.copy()
+        got = _act_grad(x, dy)
+        np.testing.assert_array_equal(got, dy * self.whole_array(x)[1])
+        np.testing.assert_array_equal(dy, dy_before)
+
+    @pytest.mark.parametrize("kind", ["3-D", "view"])
+    def test_pooled_gelu_is_the_mean_of_the_full_one(self, kind):
+        x = self.inputs()[kind]
+        np.testing.assert_array_equal(_act(x, pool=True), self.whole_array(x)[0].mean(axis=2))
 
 
 class TestEmbedGrad:
@@ -350,6 +425,55 @@ class TestSlicedForward:
         seen.clear()
         classifier_forward(inputs, state, cfg, want_cache=True)
         assert seen == [40, 40]
+
+
+class TestKernelsAndWorkspacePerCall:
+    """classifier_forward and a training step build each block's kernel once,
+    and a cache-less pass shares one spectrum workspace among its slices."""
+
+    @pytest.mark.parametrize("batch", [1, 40])
+    def test_each_kernel_is_built_once_per_call_and_per_step(self, monkeypatch, batch):
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(65))
+        inputs, labels = gen_batch(RECALL, batch, np.random.default_rng(66))
+        plan = make_plan(cfg.seq_len)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return materialize(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "materialize", spy)
+        for run in (
+            lambda: classifier_forward(inputs, state, cfg, plan),
+            lambda: classifier_forward(inputs, state, cfg, plan, want_cache=True),
+            lambda: _step_grads(inputs, labels, state, cfg, plan, False),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == cfg.n_blocks
+
+    @pytest.mark.parametrize("batch", [16, 40])
+    def test_cache_less_slices_share_one_workspace_per_call(self, monkeypatch, batch):
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(67))
+        inputs, _ = gen_batch(RECALL, batch, np.random.default_rng(68))
+        seen = []
+
+        def spy(x, kernel, plan, work=None):
+            seen.append(work)
+            return depthwise_conv_batch(x, kernel, plan, work=work)
+
+        monkeypatch.setattr(model_mod, "depthwise_conv_batch", spy)
+        first = classifier_forward(inputs, state, cfg)
+        assert len(seen) == cfg.n_blocks * -(-batch // FORWARD_CHUNK)
+        if batch <= FORWARD_CHUNK:  # one slice: numpy allocates as before
+            assert seen == [None] * cfg.n_blocks
+            return
+        assert isinstance(seen[0], dict) and all(w is seen[0] for w in seen)
+        calls = len(seen)
+        np.testing.assert_array_equal(classifier_forward(inputs, state, cfg), first)
+        assert seen[calls] is not seen[0]  # the workspace is private to its call
 
 
 class TestSlicedStep:
