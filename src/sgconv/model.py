@@ -9,10 +9,16 @@ sequence, and Mix is affine, so the last block computes only that mean,
 mean_L(x) + Mix(mean_L(act(...))), and its adjoint starts from the pooled
 gradient.  All gradients are the hand-written adjoints from the grad
 module; there is no autodiff anywhere.
+
+Eval passes and training steps run over FORWARD_CHUNK-sample slices, one
+worker thread per usable core, each worker with its own spectrum workspace;
+results combine in slice order, so no bit depends on the scheduling.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -398,7 +404,70 @@ def block_backward(
 # runs once over all pooled rows, since a GEMM of a few rows rounds
 # differently from a batched one.  The training step (_step_grads) runs
 # forward and backward over slices of the same size.
-FORWARD_CHUNK = 16
+FORWARD_CHUNK = 8
+# The slices of a pass or step run on this many workers: one per core the
+# process may run on, so that _WORKERS * FORWARD_CHUNK samples are in flight.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+
+
+def _run_slices(fn, n: int, works: list) -> list:
+    """[fn(i, j, work) for each FORWARD_CHUNK-sample slice [i, j) of n
+    samples], in slice order.
+
+    With W = min(len(works), number of slices) workers, worker w runs slices
+    w, w + W, ... in order, in works[w].  The caller is worker 0 and every
+    other worker is a thread of its own, so a single slice starts no thread.
+    Every thread is joined before return; a failing worker skips its later
+    slices, and the failure of the earliest failing slice is then raised
+    as it is.
+    """
+    bounds = [(i, min(i + FORWARD_CHUNK, n)) for i in range(0, n, FORWARD_CHUNK)]
+    if not bounds:
+        return []
+    count = min(len(works), len(bounds))
+    results = [None] * len(bounds)
+    errors = {}
+
+    def worker(w: int) -> None:
+        for s in range(w, len(bounds), count):
+            try:
+                results[s] = fn(*bounds[s], works[w])
+            except BaseException as exc:  # re-raised in the caller
+                errors[s] = exc
+                return
+
+    threads = []
+    try:
+        for w in range(1, count):
+            thread = threading.Thread(target=worker, args=(w,))
+            thread.start()
+            threads.append(thread)
+        worker(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _check_inputs(inputs, cfg: ModelConfig) -> np.ndarray:
+    """inputs as an array, once it is what cfg's model takes: integer
+    (B, seq_len) tokens or floating-point (B, in_channels, seq_len) values."""
+    x = np.asarray(inputs)
+    if cfg.vocab_size is not None:
+        kind, dtype, shape = "token", np.integer, (cfg.seq_len,)
+    else:
+        kind, dtype, shape = "real", np.floating, (cfg.in_channels, cfg.seq_len)
+    if not np.issubdtype(x.dtype, dtype):
+        raise ValueError(f"{kind} inputs must be of {dtype.__name__} dtype, got {x.dtype}")
+    if x.shape[1:] != shape:
+        want = ", ".join(map(str, ("B", *shape)))
+        raise ValueError(f"{kind} inputs must have shape ({want}), got {x.shape}")
+    return x
 
 
 def _embed_inputs(inputs: np.ndarray, state: ModelState, cfg: ModelConfig) -> np.ndarray:
@@ -464,30 +533,34 @@ def classifier_forward(
 ):
     """Embed or project, run the block stack, pool, and read out logits.
 
+    inputs must be what the model takes (_check_inputs), else ValueError.
     Each block's kernel is built once per call.  Without a cache, the batch
-    runs up to the pooling in slices of at most FORWARD_CHUNK samples, which
-    share one spectrum workspace private to the call, and the head then
-    reads out all of them at once; the logits are bit-identical to an
-    unsliced pass.
+    runs up to the pooling in slices of at most FORWARD_CHUNK samples on
+    _run_slices' workers, each with a spectrum workspace private to the
+    call, and the head then reads out all of them at once; the logits are
+    bit-identical to an unsliced pass.
     """
     if plan is None:
         plan = make_plan(cfg.seq_len)
+    inputs = _check_inputs(inputs, cfg)
     if want_cache:
         caches = []
         pooled = _features(inputs, state, cfg, plan, caches=caches)
     else:
-        # The slices share each block's kernel and one spectrum workspace.
-        # A single slice (a request) shares them with nothing, so it builds
-        # each kernel inside its block and lets numpy allocate the
-        # transforms, holding neither past its use.
-        kernels = work = None
+        # The slices share each block's kernel; each worker has a spectrum
+        # workspace.  A single slice (a request) shares them with nothing,
+        # so it builds each kernel inside its block and lets numpy allocate
+        # the transforms, holding neither past its use.
+        kernels, works = None, [None]
         if len(inputs) > FORWARD_CHUNK:
             kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
-            work = {}
+            works = [{} for _ in range(_WORKERS)]
         pooled = np.empty((len(inputs), cfg.channels))
-        for i in range(0, len(inputs), FORWARD_CHUNK):
-            chunk = inputs[i : i + FORWARD_CHUNK]
-            pooled[i : i + len(chunk)] = _features(chunk, state, cfg, plan, kernels, work=work)
+
+        def run(i, j, work):  # each slice writes its own rows
+            pooled[i:j] = _features(inputs[i:j], state, cfg, plan, kernels, work=work)
+
+        _run_slices(run, len(inputs), works)
     logits = pooled @ state.head_w + state.head_b[None, :]
     if not want_cache:
         return logits
@@ -553,45 +626,49 @@ def _step_grads(
     cfg: ModelConfig,
     plan: ConvPlan,
     regression: bool,
-    work: dict | None = None,
+    works: list[dict] | None = None,
 ) -> tuple[float, dict]:
     """Mean loss of a training batch and its gradients, keyed like
     _param_items.
 
     Forward, loss and backward run over slices of at most FORWARD_CHUNK
-    samples: gradient accumulation over micro-batches.  Each slice's logit
-    gradient is scaled by its share of the batch, and its gradients are added
-    into the totals in slice order.  A slice's block caches are released
-    before the next slice's forward, so the step holds one slice's caches at
-    a time.  A batch of one slice gives classifier_forward(want_cache=True),
-    the loss and classifier_backward's results bit for bit; a larger one
-    agrees with them to roundoff, since its batch sums add in another order.
-    Each block's kernel is built once per step.  The convs and their
-    adjoints write their large transforms into work's buffers, one pair per
-    slice shape, which every later slice and step handed the same work
-    reuses.
+    samples: gradient accumulation over micro-batches, the slices spread
+    over _run_slices' workers.  Each slice's logit gradient is scaled by its
+    share of the batch, and the slices' losses and gradients are added in
+    slice order once all have run, so no bit depends on the worker count.
+    A worker releases a slice's block caches before its next slice's
+    forward, so the step holds one slice's caches per worker.  A batch of
+    one slice gives classifier_forward(want_cache=True), the loss and
+    classifier_backward's results bit for bit; a larger one agrees with them
+    to roundoff, since its batch sums add in another order.  Each block's
+    kernel is built once per step.  Worker w's convs and adjoints write
+    their large transforms into works[w]'s buffers, one pair per slice
+    shape, which its later slices and every later step handed the same
+    works reuse; without works numpy allocates them.
     """
+    inputs = _check_inputs(inputs, cfg)
     loss_fn = squared_error if regression else cross_entropy
     kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
     n = len(inputs)
-    loss, grads = 0.0, None
-    for i in range(0, n, FORWARD_CHUNK):
-        chunk = inputs[i : i + FORWARD_CHUNK]
-        share = len(chunk) / n
-        caches = []  # drops the previous slice's caches
+
+    def run(i, j, work):
+        chunk = inputs[i:j]
+        share = (j - i) / n
+        caches = []
         pooled = _features(chunk, state, cfg, plan, kernels, caches, work=work)
         logits = pooled @ state.head_w + state.head_b[None, :]
-        part, dlogits = loss_fn(logits, labels[i : i + FORWARD_CHUNK])
+        part, dlogits = loss_fn(logits, labels[i:j])
         dlogits *= share
-        part_grads = classifier_backward(
-            dlogits, {"caches": caches, "pooled": pooled}, chunk, state, cfg, plan, work=work
-        )
-        loss += part * share
-        if grads is None:
-            grads = part_grads
-        else:
-            for key, val in part_grads.items():
-                grads[key] += val
+        cache = {"caches": caches, "pooled": pooled}
+        grads = classifier_backward(dlogits, cache, chunk, state, cfg, plan, work=work)
+        return part * share, grads
+
+    parts = _run_slices(run, n, [None] * _WORKERS if works is None else works)
+    loss, grads = parts[0]
+    for part, more in parts[1:]:
+        loss += part
+        for key, val in more.items():
+            grads[key] += val
     return loss, grads
 
 
@@ -711,10 +788,10 @@ def train(
         log.append({"step": step, "loss": loss, "acc": acc})
 
     record(0)
-    work = {}  # the steps' spectrum buffers, reused by every slice and step
+    works = [{} for _ in range(_WORKERS)]  # each worker's spectra, kept across steps
     for step in range(1, train_cfg.steps + 1):
         inputs, labels = gen_batch(task, train_cfg.batch_size, data_rng)
-        loss, grads = _step_grads(inputs, labels, state, model_cfg, plan, regression, work=work)
+        loss, grads = _step_grads(inputs, labels, state, model_cfg, plan, regression, works)
         if not np.isfinite(loss):
             raise TrainingDiverged(f"non-finite training loss {loss} at step {step} {hyper}")
         for name in names:

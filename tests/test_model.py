@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from sgconv.model import (
 from sgconv.tasks import TaskSpec, gen_batch
 
 RECALL = TaskSpec(kind="first_token_recall", seq_len=64, num_classes=4)
+ADDING = TaskSpec(kind="adding_problem", seq_len=32)
 
 
 def tiny_config(**kwargs):
@@ -366,6 +368,38 @@ class TestClassifier:
         solo = classifier_forward(inputs[3:4], state, cfg)
         np.testing.assert_allclose(solo[0], full[3], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, make, match",
+        [
+            (RECALL, lambda x: x.astype(float), r"token inputs must be of integer dtype, got float64"),
+            (
+                RECALL,
+                lambda x: x[:, :, None],
+                r"token inputs must have shape \(B, 64\), got \(4, 64, 1\)",
+            ),
+            (
+                ADDING,
+                lambda x: np.concatenate([x, x[:, :1]], axis=1),
+                r"real inputs must have shape \(B, 2, 32\), got \(4, 3, 32\)",
+            ),
+            (ADDING, lambda x: x.astype(np.int64), r"real inputs must be of floating dtype, got int"),
+        ],
+        ids=["float-tokens", "tokens-with-a-channel-axis", "three-real-channels", "integer-reals"],
+    )
+    def test_rejects_inputs_the_model_does_not_take(self, spec, make, match):
+        cfg = ModelConfig.for_task(spec, channels=8, n_blocks=1, scale_dim=4)
+        state = init_model(cfg, np.random.default_rng(60))
+        inputs, labels = gen_batch(spec, 4, np.random.default_rng(61))
+        plan = make_plan(cfg.seq_len)
+        bad = make(inputs)
+        for run in (
+            lambda: classifier_forward(bad, state, cfg, plan),
+            lambda: classifier_forward(bad, state, cfg, plan, want_cache=True),
+            lambda: _step_grads(bad, labels, state, cfg, plan, spec.is_regression),
+        ):
+            with pytest.raises(ValueError, match=match):
+                run()
+
     def test_rejects_out_of_range_tokens(self):
         cfg = tiny_config()
         state = init_model(cfg, np.random.default_rng(13))
@@ -382,9 +416,6 @@ class TestClassifier:
         assert logits.shape == (8, 1)
         loss, dlogits = squared_error(logits, labels)
         assert np.isfinite(loss) and dlogits.shape == (8, 1)
-
-
-ADDING = TaskSpec(kind="adding_problem", seq_len=32)
 
 
 class TestSlicedForward:
@@ -409,22 +440,29 @@ class TestSlicedForward:
         np.testing.assert_array_equal(classifier_forward(inputs, state, cfg, plan), cached)
 
     def test_blocks_see_at_most_one_slice_without_a_cache(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = tiny_config()
         state = init_model(cfg, np.random.default_rng(42))
-        inputs, _ = gen_batch(RECALL, 40, np.random.default_rng(43))
-        seen = []
+        inputs, _ = gen_batch(RECALL, 36, np.random.default_rng(43))
+        seen = {}  # block -> thread -> slice sizes
 
-        def spy(x, *args, **kwargs):
-            seen.append(x.shape[0])
-            return block_forward(x, *args, **kwargs)
+        def spy(x, bp, *args, **kwargs):
+            by_thread = seen.setdefault(id(bp), {})
+            by_thread.setdefault(threading.get_ident(), []).append(x.shape[0])
+            return block_forward(x, bp, *args, **kwargs)
 
         monkeypatch.setattr(model_mod, "block_forward", spy)
         classifier_forward(inputs, state, cfg)
-        assert FORWARD_CHUNK == 16
-        assert seen == [16, 16, 16, 16, 8, 8]  # two blocks per slice
+        assert FORWARD_CHUNK == 8
+        # worker 0, the caller, runs slices 0, 2, 4 (8 + 8 + 4) and worker 1
+        # slices 1 and 3, each in order through both blocks
+        main = threading.get_ident()
+        for by_thread in seen.values():
+            assert by_thread.pop(main) == [8, 8, 4]
+            assert list(by_thread.values()) == [[8, 8]]
         seen.clear()
         classifier_forward(inputs, state, cfg, want_cache=True)
-        assert seen == [40, 40]
+        assert [by_thread[main] for by_thread in seen.values()] == [[36], [36]]
 
 
 class TestKernelsAndWorkspacePerCall:
@@ -453,27 +491,32 @@ class TestKernelsAndWorkspacePerCall:
             run()
             assert len(calls) == cfg.n_blocks
 
-    @pytest.mark.parametrize("batch", [16, 40])
-    def test_cache_less_slices_share_one_workspace_per_call(self, monkeypatch, batch):
+    @pytest.mark.parametrize("batch", [8, 40])
+    def test_cache_less_slices_share_one_workspace_per_worker(self, monkeypatch, batch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = tiny_config()
         state = init_model(cfg, np.random.default_rng(67))
         inputs, _ = gen_batch(RECALL, batch, np.random.default_rng(68))
-        seen = []
+        seen = []  # (thread, work) per conv
 
         def spy(x, kernel, plan, work=None):
-            seen.append(work)
+            seen.append((threading.get_ident(), work))
             return depthwise_conv_batch(x, kernel, plan, work=work)
 
         monkeypatch.setattr(model_mod, "depthwise_conv_batch", spy)
         first = classifier_forward(inputs, state, cfg)
         assert len(seen) == cfg.n_blocks * -(-batch // FORWARD_CHUNK)
         if batch <= FORWARD_CHUNK:  # one slice: numpy allocates as before
-            assert seen == [None] * cfg.n_blocks
+            assert seen == [(threading.get_ident(), None)] * cfg.n_blocks
             return
-        assert isinstance(seen[0], dict) and all(w is seen[0] for w in seen)
+        works = {thread: work for thread, work in seen}
+        assert len(works) == 2 and all(isinstance(w, dict) for w in works.values())
+        assert len({id(w) for w in works.values()}) == 2  # one workspace per worker
+        assert all(work is works[thread] for thread, work in seen)
         calls = len(seen)
         np.testing.assert_array_equal(classifier_forward(inputs, state, cfg), first)
-        assert seen[calls] is not seen[0]  # the workspace is private to its call
+        again = {id(work) for _, work in seen[calls:]}
+        assert again.isdisjoint(id(w) for w in works.values())  # private to the call
 
 
 class TestSlicedStep:
@@ -515,26 +558,34 @@ class TestSlicedStep:
                 assert err <= 1e-13 * np.abs(ref).max(), name
 
     def test_blocks_see_one_slice_per_call_in_training(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = tiny_config()
-        fwd, bwd = {}, {}
+        fwd, bwd = {}, {}  # block -> thread -> slice sizes
+
+        def note(seen, bp, n):
+            seen.setdefault(id(bp), {}).setdefault(threading.get_ident(), []).append(n)
 
         def fwd_spy(x, bp, *args, want_cache=False, **kwargs):
             if want_cache:  # the held-out evals run without a cache
-                fwd.setdefault(id(bp), []).append(x.shape[0])
+                note(fwd, bp, x.shape[0])
             return block_forward(x, bp, *args, want_cache=want_cache, **kwargs)
 
         def bwd_spy(dy, cache, bp, *args, **kwargs):
-            bwd.setdefault(id(bp), []).append(dy.shape[0])
+            note(bwd, bp, dy.shape[0])
             return block_backward(dy, cache, bp, *args, **kwargs)
 
         monkeypatch.setattr(model_mod, "block_forward", fwd_spy)
         monkeypatch.setattr(model_mod, "block_backward", bwd_spy)
-        train(RECALL, cfg, TrainConfig(steps=1, batch_size=40, eval_samples=4, seed=46))
-        assert FORWARD_CHUNK == 16
-        assert list(fwd.values()) == [[16, 16, 8]] * cfg.n_blocks
-        assert list(bwd.values()) == [[16, 16, 8]] * cfg.n_blocks
+        train(RECALL, cfg, TrainConfig(steps=1, batch_size=36, eval_samples=4, seed=46))
+        assert FORWARD_CHUNK == 8
+        main = threading.get_ident()
+        for seen in (fwd, bwd):
+            assert len(seen) == cfg.n_blocks
+            for by_thread in seen.values():
+                assert by_thread.pop(main) == [8, 8, 4]  # slices 0, 2 and 4
+                assert list(by_thread.values()) == [[8, 8]]  # slices 1 and 3
 
-    def test_peak_memory_is_well_under_the_whole_batch_step(self):
+    def test_peak_memory_is_well_under_the_whole_batch_step(self, monkeypatch):
         # numpy reports its buffers to tracemalloc, so the peaks are exact
         spec = TaskSpec(kind="first_token_recall", seq_len=256, num_classes=4)
         cfg = ModelConfig.for_task(spec, channels=16, n_blocks=2)
@@ -551,28 +602,32 @@ class TestSlicedStep:
             finally:
                 tracemalloc.stop()
 
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)  # 16 samples in flight
         assert peak(_step_grads) <= 0.6 * peak(self.whole_batch)
 
 
 class TestStepWorkspace:
-    """train hands one spectrum workspace to every slice and step."""
+    """train hands each worker one spectrum workspace for every step."""
 
     @staticmethod
-    def buffers(work):
-        return [buf for pair in work.values() for buf in pair]
+    def shares(arrays, works):
+        """Whether any of arrays shares memory with a buffer of works."""
+        bufs = [buf for work in works for pair in work.values() for buf in pair]
+        return any(np.shares_memory(arr, buf) for arr in arrays for buf in bufs)
 
-    @pytest.mark.parametrize("batch", [32, 40])  # two full slices; 16 + 16 + 8
+    @pytest.mark.parametrize("batch", [32, 36])  # four full slices; 8 * 4 + 4
     def test_train_is_bit_identical_without_the_workspace(self, monkeypatch, batch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = tiny_config()
         tcfg = TrainConfig(steps=3, batch_size=batch, eval_samples=8, eval_every=1, seed=49)
-        works = []
+        handed = []
 
-        def keep(*args, work=None):
-            works.append(work)
-            return _step_grads(*args, work=work)
-
-        def drop(*args, work=None):
+        def keep(*args):
+            handed.append(args[-1])
             return _step_grads(*args)
+
+        def drop(*args):
+            return _step_grads(*args[:-1])
 
         monkeypatch.setattr(model_mod, "_step_grads", keep)
         got = train(RECALL, cfg, tcfg)
@@ -581,50 +636,55 @@ class TestStepWorkspace:
         assert got.log == ref.log
         for (name, value), (_, expect) in zip(_param_items(got.state), _param_items(ref.state)):
             np.testing.assert_array_equal(value, expect, err_msg=name)
-        work = works[0]
-        assert all(w is work for w in works) and len(works) == tcfg.steps
-        assert sorted(key[0] for key in work) == sorted({FORWARD_CHUNK, batch % FORWARD_CHUNK} - {0})
-        for _, value in _param_items(got.state):
-            assert not any(np.shares_memory(value, buf) for buf in self.buffers(work))
+        works = handed[0]
+        assert all(w is works for w in handed) and len(handed) == tcfg.steps
+        assert len(works) == 2 and works[0] is not works[1]
+        sizes = [min(FORWARD_CHUNK, batch - i) for i in range(0, batch, FORWARD_CHUNK)]
+        for w, work in enumerate(works):  # worker w ran slices w, w + 2, ...
+            assert sorted(key[0] for key in work) == sorted(set(sizes[w::2]))
+        assert not self.shares([value for _, value in _param_items(got.state)], works)
 
     @pytest.mark.parametrize("spec", [RECALL, ADDING], ids=["tokens", "real"])
-    def test_no_loss_gradient_or_logit_shares_the_workspace(self, spec):
+    def test_no_loss_gradient_or_logit_shares_the_workspace(self, monkeypatch, spec):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = ModelConfig.for_task(spec, channels=6, n_blocks=2, scale_dim=4)
         state = init_model(cfg, np.random.default_rng(50))
         inputs, labels = gen_batch(spec, 20, np.random.default_rng(51))
         plan = make_plan(cfg.seq_len)
-        work = {}
-        loss, grads = _step_grads(inputs, labels, state, cfg, plan, spec.is_regression, work=work)
-        assert isinstance(loss, float) and len(work) == 2
+        works = [{}, {}]
+        loss, grads = _step_grads(inputs, labels, state, cfg, plan, spec.is_regression, works)
+        # worker 0 ran the 8- and the 4-sample slice, worker 1 an 8-sample one
+        assert isinstance(loss, float) and [len(work) for work in works] == [2, 1]
         logits, cache = classifier_forward(inputs, state, cfg, plan, want_cache=True)
         dlogits = np.ones_like(logits)
-        more = classifier_backward(dlogits, cache, inputs, state, cfg, plan, work=work)
+        more = classifier_backward(dlogits, cache, inputs, state, cfg, plan, work=works[0])
         returned = [*grads.values(), *more.values(), logits]
         for cached in cache["caches"]:
             returned += list(cached.values())
-        assert len(work) == 3  # the whole-batch backward added its own pair
-        for arr in returned:
-            assert not any(np.shares_memory(arr, buf) for buf in self.buffers(work))
+        assert len(works[0]) == 3  # the whole-batch backward added its own pair
+        assert not self.shares(returned, works)
 
-    def test_warm_workspace_step_allocates_no_spectrum(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_workspace_step_allocates_no_spectrum(self, monkeypatch, workers):
         spec = TaskSpec(kind="first_token_recall", seq_len=256, num_classes=4)
         cfg = ModelConfig.for_task(spec, channels=16, n_blocks=2)
         state = init_model(cfg, np.random.default_rng(47))
         inputs, labels = gen_batch(spec, 32, np.random.default_rng(48))
         plan = make_plan(cfg.seq_len)
-        work = {}
-        _step_grads(inputs, labels, state, cfg, plan, False, work=work)  # warms work
-        before = {key: [id(buf) for buf in pair] for key, pair in work.items()}
-        spectrum = min(buf.nbytes for buf in self.buffers(work))
-        allocated = []  # bytes each transform allocated at its peak
+        works = [{} for _ in range(workers)]
+        _step_grads(inputs, labels, state, cfg, plan, False, works)  # warms works
+        before = [{key: [id(buf) for buf in pair] for key, pair in w.items()} for w in works]
+        spectrum = min(buf.nbytes for w in works for pair in w.values() for buf in pair)
+        calls = []  # (thread, input ndim, out target, bytes allocated at its peak)
 
         def watch(fft):
-            def call(*args, **kwargs):
+            def call(a, *args, out=None, **kwargs):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                out = fft(*args, **kwargs)
-                allocated.append(tracemalloc.get_traced_memory()[1] - start)
-                return out
+                result = fft(a, *args, out=out, **kwargs)
+                grew = tracemalloc.get_traced_memory()[1] - start
+                calls.append((threading.get_ident(), a.ndim, out, grew))
+                return result
 
             return call
 
@@ -632,13 +692,146 @@ class TestStepWorkspace:
         monkeypatch.setattr(np.fft, "irfft", watch(np.fft.irfft))
         tracemalloc.start()
         try:
-            _step_grads(inputs, labels, state, cfg, plan, False, work=work)
+            _step_grads(inputs, labels, state, cfg, plan, False, works)
         finally:
             tracemalloc.stop()
-        assert len(allocated) == 2 * cfg.n_blocks * 8  # two slices, 5 rfft + 3 irfft a block
-        # the kernel transforms are (H, m/2+1), a sixteenth of a slice's spectrum
-        assert max(allocated) < spectrum / 4
-        assert {key: [id(buf) for buf in pair] for key, pair in work.items()} == before
+        assert len(calls) == 4 * cfg.n_blocks * 8  # four slices, 5 rfft + 3 irfft a block
+        # the batch-sized transforms write into their own worker's workspace,
+        # and only the (H, m/2+1) kernel transforms allocate
+        owner = {}
+        for thread, ndim, out, _ in calls:
+            if ndim == 2:
+                assert out is None
+                continue
+            mine = [i for i, w in enumerate(works) if self.shares([out], [w])]
+            assert len(mine) == 1 and owner.setdefault(thread, mine[0]) == mine[0]
+        assert sorted(owner.values()) == list(range(workers))
+        if workers == 1:  # with one thread, each transform's peak is its own
+            assert max(grew for *_, grew in calls) < spectrum / 4
+        after = [{key: [id(buf) for buf in pair] for key, pair in w.items()} for w in works]
+        assert after == before
+
+
+class TestWorkers:
+    """The slices of a pass or step run on _WORKERS threads, which change no
+    bit, outlive no call and hand every failure back to the caller."""
+
+    @staticmethod
+    def count_threads(monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(model_mod.threading, "Thread", Counted)
+        return started
+
+    def test_train_and_logits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        cfg = tiny_config()
+        tcfg = TrainConfig(steps=3, batch_size=36, eval_samples=20, eval_every=1, seed=52)
+        inputs, _ = gen_batch(RECALL, 44, np.random.default_rng(53))
+        started = self.count_threads(monkeypatch)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model_mod, "_WORKERS", workers)
+            started.clear()
+            result = train(RECALL, cfg, tcfg)
+            # 3 steps of 5 slices and 4 held-out passes of 3 slices
+            assert len(started) == 3 * (min(workers, 5) - 1) + 4 * (min(workers, 3) - 1)
+            runs.append((result, classifier_forward(inputs, result.state, cfg)))
+        (ref, ref_logits), *others = runs
+        for result, logits in others:
+            assert result.log == ref.log
+            for (name, value), (_, expect) in zip(
+                _param_items(result.state), _param_items(ref.state)
+            ):
+                np.testing.assert_array_equal(value, expect, err_msg=name)
+            np.testing.assert_array_equal(logits, ref_logits)
+        cached, _ = classifier_forward(inputs, ref.state, cfg, want_cache=True)
+        np.testing.assert_array_equal(ref_logits, cached)
+
+    def test_more_workers_than_cores_with_rapid_switching(self, monkeypatch):
+        cfg = ModelConfig.for_task(ADDING, channels=6, n_blocks=2, scale_dim=4)
+        state = init_model(cfg, np.random.default_rng(62))
+        plan = make_plan(cfg.seq_len)
+        inputs, labels = gen_batch(ADDING, 7 * FORWARD_CHUNK - 3, np.random.default_rng(63))
+        monkeypatch.setattr(model_mod, "_WORKERS", 1)
+        ref_logits = classifier_forward(inputs, state, cfg, plan)
+        ref_loss, ref_grads = _step_grads(inputs, labels, state, cfg, plan, True)
+        monkeypatch.setattr(model_mod, "_WORKERS", 6)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                logits = classifier_forward(inputs, state, cfg, plan)
+                np.testing.assert_array_equal(logits, ref_logits)
+                loss, grads = _step_grads(inputs, labels, state, cfg, plan, True)
+                assert loss == ref_loss
+                for name, ref in ref_grads.items():
+                    np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    # slices 1 and 3 run on worker 1, 0, 2 and 4 on the caller; with two
+    # failing slices the earlier one's error is raised
+    @pytest.mark.parametrize("bad_slices", [(4,), (3,), (1, 4), (2, 3)])
+    def test_a_failing_slice_raises_in_the_caller_after_every_worker_joined(
+        self, monkeypatch, bad_slices
+    ):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(54))
+        plan = make_plan(cfg.seq_len)
+        inputs, labels = gen_batch(RECALL, 40, np.random.default_rng(55))
+        for s in bad_slices:  # an id past the vocab in even slices, -1 in odd
+            inputs[s * FORWARD_CHUNK + 3, 5] = -1 if s % 2 else cfg.vocab_size
+        match = "min=-1" if min(bad_slices) % 2 else f"max={cfg.vocab_size}"
+        threads = threading.active_count()
+        for run in (
+            lambda: classifier_forward(inputs, state, cfg, plan),
+            lambda: _step_grads(inputs, labels, state, cfg, plan, False, [{}, {}]),
+        ):
+            with pytest.raises(ValueError, match=f"token id out of range .*{match}"):
+                run()
+            assert threading.active_count() == threads
+
+    def test_a_worker_error_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(56))
+        inputs, _ = gen_batch(RECALL, 16, np.random.default_rng(57))
+
+        class Boom(Exception):
+            pass
+
+        def fail_off_the_caller(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom("in worker 1")
+            return _embed(*args, **kwargs)
+
+        _embed = model_mod._embed_inputs
+        monkeypatch.setattr(model_mod, "_embed_inputs", fail_off_the_caller)
+        threads = threading.active_count()
+        with pytest.raises(Boom, match="in worker 1"):
+            classifier_forward(inputs, state, cfg)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("batch", [0, 1, FORWARD_CHUNK])
+    def test_a_single_slice_or_none_starts_no_thread(self, monkeypatch, batch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
+        started = self.count_threads(monkeypatch)
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(58))
+        inputs, labels = gen_batch(RECALL, max(batch, 1), np.random.default_rng(59))
+        inputs, labels = inputs[:batch], labels[:batch]
+        assert classifier_forward(inputs, state, cfg).shape == (batch, cfg.classes)
+        if batch:
+            _step_grads(inputs, labels, state, cfg, make_plan(cfg.seq_len), False, [{}, {}])
+        assert started == []
 
 
 class TestGradients:
@@ -738,14 +931,15 @@ class TestTraining:
 
 
 class TestCheckpoint:
-    def test_importing_the_package_loads_no_json(self):
-        # json is imported where checkpoints are written and read, so that
-        # `import sgconv` adds none of it to what numpy already loaded
+    @staticmethod
+    def loaded_by_import(families):
+        """Modules of these top-level families that `import sgconv` adds to
+        what numpy already loaded."""
         code = (
             "import sys, numpy\n"
-            "before = {m for m in sys.modules if m.split('.')[0] in ('json', '_json')}\n"
+            f"before = {{m for m in sys.modules if m.split('.')[0] in {families!r}}}\n"
             "import sgconv\n"
-            "after = {m for m in sys.modules if m.split('.')[0] in ('json', '_json')}\n"
+            f"after = {{m for m in sys.modules if m.split('.')[0] in {families!r}}}\n"
             "print(sorted(after - before))\n"
         )
         src = str(Path(model_mod.__file__).resolve().parent.parent)
@@ -756,7 +950,17 @@ class TestCheckpoint:
             text=True,
             check=True,
         )
-        assert out.stdout == "[]\n"
+        return out.stdout
+
+    def test_importing_the_package_loads_no_json(self):
+        # json is imported where checkpoints are written and read, so that
+        # `import sgconv` adds none of it to what numpy already loaded
+        assert self.loaded_by_import(("json", "_json")) == "[]\n"
+
+    def test_importing_the_package_loads_no_concurrent_futures(self):
+        # the slice workers are plain threads: numpy has loaded threading,
+        # while concurrent.futures would add milliseconds to start-up
+        assert self.loaded_by_import(("concurrent", "threading")) == "[]\n"
 
     def test_roundtrip_reproduces_logits(self, tmp_path):
         cfg = tiny_config()
