@@ -10,9 +10,9 @@ mean_L(x) + Mix(mean_L(act(...))), and its adjoint starts from the pooled
 gradient.  All gradients are the hand-written adjoints from the grad
 module; there is no autodiff anywhere.
 
-Eval passes and training steps run over FORWARD_CHUNK-sample slices, one
-worker thread per usable core, each worker with its own spectrum workspace;
-results combine in slice order, so no bit depends on the scheduling.
+Eval passes and training steps run over FORWARD_CHUNK-sample slices on up
+to two worker threads, each worker with its own spectrum workspace; results
+combine in slice order, so no bit depends on the scheduling.
 """
 
 from __future__ import annotations
@@ -397,20 +397,19 @@ def block_backward(
     return dx, grads
 
 
-# Cache-less passes (eval, serving) run embed, blocks and pooling over slices
-# of at most this many samples, so that a slice's activations and spectra
-# stay in cache instead of streaming the whole batch through DRAM.  Every one
+# Cache-less passes (eval, serving) of more than twice this many samples run
+# embed, blocks and pooling over slices of at most this many samples, so that
+# a slice's activations and spectra stay in cache instead of streaming the
+# whole batch through DRAM; smaller ones run as one slice.  Every one
 # of those steps works sample by sample, so slicing changes no bit; the head
 # runs once over all pooled rows, since a GEMM of a few rows rounds
 # differently from a batched one.  The training step (_step_grads) runs
 # forward and backward over slices of the same size.
 FORWARD_CHUNK = 8
-# The slices of a pass or step run on this many workers: one per core the
-# process may run on, so that _WORKERS * FORWARD_CHUNK samples are in flight.
-if hasattr(os, "sched_getaffinity"):
-    _WORKERS = len(os.sched_getaffinity(0))
-else:
-    _WORKERS = os.cpu_count() or 1
+# The slices of a pass or step run on at most this many workers: two, the
+# count that was measured, or one on a single core, so that no more than
+# 16 samples are in flight whatever the core count.
+_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 def _run_slices(fn, n: int, works: list) -> list:
@@ -420,23 +419,25 @@ def _run_slices(fn, n: int, works: list) -> list:
     With W = min(len(works), number of slices) workers, worker w runs slices
     w, w + W, ... in order, in works[w].  The caller is worker 0 and every
     other worker is a thread of its own, so a single slice starts no thread.
-    Every thread is joined before return; a failing worker skips its later
-    slices, and the failure of the earliest failing slice is then raised
-    as it is.
+    Every thread is joined before return.  Once a slice fails, no worker
+    starts a later slice, and the failure of the earliest failing slice is
+    raised as it is.
     """
     bounds = [(i, min(i + FORWARD_CHUNK, n)) for i in range(0, n, FORWARD_CHUNK)]
     if not bounds:
         return []
     count = min(len(works), len(bounds))
     results = [None] * len(bounds)
-    errors = {}
+    errors = []  # (slice, exception) per failed slice; appends are atomic
 
     def worker(w: int) -> None:
         for s in range(w, len(bounds), count):
+            if any(f < s for f, _ in errors):  # an earlier slice failed
+                return
             try:
                 results[s] = fn(*bounds[s], works[w])
             except BaseException as exc:  # re-raised in the caller
-                errors[s] = exc
+                errors.append((s, exc))
                 return
 
     threads = []
@@ -450,7 +451,7 @@ def _run_slices(fn, n: int, works: list) -> list:
         for t in threads:
             t.join()
     if errors:
-        raise errors[min(errors)]
+        raise min(errors, key=lambda e: e[0])[1]
     return results
 
 
@@ -534,11 +535,11 @@ def classifier_forward(
     """Embed or project, run the block stack, pool, and read out logits.
 
     inputs must be what the model takes (_check_inputs), else ValueError.
-    Each block's kernel is built once per call.  Without a cache, the batch
-    runs up to the pooling in slices of at most FORWARD_CHUNK samples on
-    _run_slices' workers, each with a spectrum workspace private to the
-    call, and the head then reads out all of them at once; the logits are
-    bit-identical to an unsliced pass.
+    Each block's kernel is built once per call.  Without a cache, a batch
+    of more than 2 * FORWARD_CHUNK samples runs up to the pooling in slices
+    of at most FORWARD_CHUNK samples on _run_slices' workers, each with a
+    spectrum workspace private to the call, and the head then reads out all
+    of them at once; the logits are bit-identical to an unsliced pass.
     """
     if plan is None:
         plan = make_plan(cfg.seq_len)
@@ -546,15 +547,18 @@ def classifier_forward(
     if want_cache:
         caches = []
         pooled = _features(inputs, state, cfg, plan, caches=caches)
+    elif len(inputs) <= 2 * FORWARD_CHUNK:
+        # Up to the samples two workers hold (a request, a small eval pass):
+        # one slice on the caller, which shares kernel and buffers with
+        # nothing, so it builds each kernel inside its block and lets numpy
+        # allocate the transforms, holding neither past its use.
+        empty = np.empty((0, cfg.channels))
+        pooled = _features(inputs, state, cfg, plan) if len(inputs) else empty
     else:
         # The slices share each block's kernel; each worker has a spectrum
-        # workspace.  A single slice (a request) shares them with nothing,
-        # so it builds each kernel inside its block and lets numpy allocate
-        # the transforms, holding neither past its use.
-        kernels, works = None, [None]
-        if len(inputs) > FORWARD_CHUNK:
-            kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
-            works = [{} for _ in range(_WORKERS)]
+        # workspace.
+        kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
+        works = [{} for _ in range(_WORKERS)]
         pooled = np.empty((len(inputs), cfg.channels))
 
         def run(i, j, work):  # each slice writes its own rows

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -585,7 +586,7 @@ class TestSlicedStep:
                 assert by_thread.pop(main) == [8, 8, 4]  # slices 0, 2 and 4
                 assert list(by_thread.values()) == [[8, 8]]  # slices 1 and 3
 
-    def test_peak_memory_is_well_under_the_whole_batch_step(self, monkeypatch):
+    def test_peak_memory_is_well_under_the_whole_batch_step(self):
         # numpy reports its buffers to tracemalloc, so the peaks are exact
         spec = TaskSpec(kind="first_token_recall", seq_len=256, num_classes=4)
         cfg = ModelConfig.for_task(spec, channels=16, n_blocks=2)
@@ -602,7 +603,7 @@ class TestSlicedStep:
             finally:
                 tracemalloc.stop()
 
-        monkeypatch.setattr(model_mod, "_WORKERS", 2)  # 16 samples in flight
+        assert model_mod._WORKERS * FORWARD_CHUNK <= 16  # samples in flight
         assert peak(_step_grads) <= 0.6 * peak(self.whole_batch)
 
 
@@ -649,11 +650,11 @@ class TestStepWorkspace:
         monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = ModelConfig.for_task(spec, channels=6, n_blocks=2, scale_dim=4)
         state = init_model(cfg, np.random.default_rng(50))
-        inputs, labels = gen_batch(spec, 20, np.random.default_rng(51))
+        inputs, labels = gen_batch(spec, 36, np.random.default_rng(51))
         plan = make_plan(cfg.seq_len)
         works = [{}, {}]
         loss, grads = _step_grads(inputs, labels, state, cfg, plan, spec.is_regression, works)
-        # worker 0 ran the 8- and the 4-sample slice, worker 1 an 8-sample one
+        # worker 0 ran 8-, 8- and 4-sample slices, worker 1 two 8-sample ones
         assert isinstance(loss, float) and [len(work) for work in works] == [2, 1]
         logits, cache = classifier_forward(inputs, state, cfg, plan, want_cache=True)
         dlogits = np.ones_like(logits)
@@ -730,7 +731,7 @@ class TestWorkers:
 
     def test_train_and_logits_do_not_depend_on_the_worker_count(self, monkeypatch):
         cfg = tiny_config()
-        tcfg = TrainConfig(steps=3, batch_size=36, eval_samples=20, eval_every=1, seed=52)
+        tcfg = TrainConfig(steps=3, batch_size=52, eval_samples=44, eval_every=1, seed=52)
         inputs, _ = gen_batch(RECALL, 44, np.random.default_rng(53))
         started = self.count_threads(monkeypatch)
         runs = []
@@ -738,8 +739,8 @@ class TestWorkers:
             monkeypatch.setattr(model_mod, "_WORKERS", workers)
             started.clear()
             result = train(RECALL, cfg, tcfg)
-            # 3 steps of 5 slices and 4 held-out passes of 3 slices
-            assert len(started) == 3 * (min(workers, 5) - 1) + 4 * (min(workers, 3) - 1)
+            # 3 steps of 7 slices and 4 held-out passes of 6
+            assert len(started) == 3 * (min(workers, 7) - 1) + 4 * (min(workers, 6) - 1)
             runs.append((result, classifier_forward(inputs, result.state, cfg)))
         (ref, ref_logits), *others = runs
         for result, logits in others:
@@ -756,7 +757,7 @@ class TestWorkers:
         cfg = ModelConfig.for_task(ADDING, channels=6, n_blocks=2, scale_dim=4)
         state = init_model(cfg, np.random.default_rng(62))
         plan = make_plan(cfg.seq_len)
-        inputs, labels = gen_batch(ADDING, 7 * FORWARD_CHUNK - 3, np.random.default_rng(63))
+        inputs, labels = gen_batch(ADDING, 12 * FORWARD_CHUNK - 3, np.random.default_rng(63))
         monkeypatch.setattr(model_mod, "_WORKERS", 1)
         ref_logits = classifier_forward(inputs, state, cfg, plan)
         ref_loss, ref_grads = _step_grads(inputs, labels, state, cfg, plan, True)
@@ -803,7 +804,7 @@ class TestWorkers:
         monkeypatch.setattr(model_mod, "_WORKERS", 2)
         cfg = tiny_config()
         state = init_model(cfg, np.random.default_rng(56))
-        inputs, _ = gen_batch(RECALL, 16, np.random.default_rng(57))
+        inputs, _ = gen_batch(RECALL, 32, np.random.default_rng(57))
 
         class Boom(Exception):
             pass
@@ -832,6 +833,45 @@ class TestWorkers:
         if batch:
             _step_grads(inputs, labels, state, cfg, make_plan(cfg.seq_len), False, [{}, {}])
         assert started == []
+
+    @pytest.mark.parametrize("batch", [FORWARD_CHUNK + 1, 2 * FORWARD_CHUNK])
+    def test_a_pass_of_up_to_two_slices_runs_as_one_on_the_caller(self, monkeypatch, batch):
+        monkeypatch.setattr(model_mod, "_WORKERS", 2)
+        started = self.count_threads(monkeypatch)
+        cfg = tiny_config()
+        state = init_model(cfg, np.random.default_rng(60))
+        inputs, _ = gen_batch(RECALL, batch, np.random.default_rng(61))
+        seen = []  # (slice size, kernel, work) per block
+
+        def spy(x, bp, *args, kernel=None, work=None, **kwargs):
+            seen.append((x.shape[0], kernel, work))
+            return block_forward(x, bp, *args, kernel=kernel, work=work, **kwargs)
+
+        monkeypatch.setattr(model_mod, "block_forward", spy)
+        logits = classifier_forward(inputs, state, cfg)
+        assert started == [] and seen == [(batch, None, None)] * cfg.n_blocks
+        cached, _ = classifier_forward(inputs, state, cfg, want_cache=True)
+        np.testing.assert_array_equal(logits, cached)
+
+    def test_a_failure_on_the_caller_stops_the_other_workers_later_slices(self):
+        failed = threading.Event()
+        ran = []
+
+        def fn(i, j, work):
+            s = i // FORWARD_CHUNK
+            ran.append(s)
+            if s == 0:  # the caller, as a Ctrl-C would
+                failed.set()
+                raise KeyboardInterrupt
+            failed.wait()  # slice 1, on worker 1, outlasts the failure
+            time.sleep(0.1)
+            return s
+
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            model_mod._run_slices(fn, 8 * FORWARD_CHUNK, [None, None])
+        assert sorted(ran) == [0, 1]  # neither worker started another slice
+        assert threading.active_count() == threads
 
 
 class TestGradients:
