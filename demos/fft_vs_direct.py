@@ -48,4 +48,4 @@ for L in (1024, 4096, 16384):
     print(f"{L:>7} {t_dir:>11.1f} {t_fft:>9.1f} {t_dir / t_fft:>7.1f}x")
 
 print("\nthe two paths cross-check each other: any bug in one shows up as a")
-print("disagreement with the other, which the verify suites assert at 1e-10.")
+print("disagreement with the other, which the tests assert at 1e-10.")

@@ -1,4 +1,4 @@
-"""Command-line entry point: verify, bench, dump-kernel, train, ablate.
+"""Command-line entry point: bench, dump-kernel, train, ablate.
 
 Every command is deterministic given --seed except bench timings (whose CSV
 schema is still fixed).  An optional --config file supplies `key = value`
@@ -19,7 +19,6 @@ import numpy as np
 from . import bench as bench_mod
 from . import model as model_mod
 from . import tasks as tasks_mod
-from . import verify as verify_mod
 from .ioutil import atomic_write_text
 from .kernel import KernelConfig, init_kernel, write_kernel_csv
 
@@ -103,10 +102,9 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(" ", "").split(","))
 
 
-def _add_common(p: argparse.ArgumentParser, out=None, precision="f64") -> None:
+def _add_common(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", type=str, default=out, help="output path")
-    p.add_argument("--precision", choices=("f32", "f64"), default=precision)
     p.add_argument("--config", type=str, default=None, help="key = value defaults file")
 
 
@@ -140,17 +138,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     """The top-level parser and each command's subparser, keyed by name."""
     parser = argparse.ArgumentParser(
         prog="sgconv",
-        description="Structured global convolution kernels: verification, "
-        "benchmarks, kernel dumps, training demos, and decay ablations.",
+        description="Structured global convolution kernels: benchmarks, "
+        "kernel dumps, training demos, and decay ablations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the module invariant suites")
-    _add_common(p)
-    p.add_argument("--filter", type=str, default=None, help="only suites whose name contains this")
-
     p = sub.add_parser("bench", help="time conv implementations across lengths")
-    _add_common(p, out="bench.csv", precision="f32")
+    _add_common(p, out="bench.csv")
+    p.add_argument("--precision", choices=("f32", "f64"), default="f32")
     p.add_argument("--lengths", type=_int_list, default=bench_mod.DEFAULT_LENGTHS,
                    help="comma-separated, ascending")
     p.add_argument("--channels", type=int, default=128)
@@ -198,26 +193,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-def cmd_verify(args) -> int:
-    with _options():  # a bad filter or precision is rejected before any suite runs
-        verify_mod.select_suites(args.filter, args.precision)
-    results = verify_mod.run_suites(args.filter, precision=args.precision)
-    all_ok = True
-    lines = []
-    for name, failures in results:
-        if failures:
-            all_ok = False
-            lines.append(f"FAIL {name}: {failures[0]}")
-        else:
-            lines.append(f"PASS {name}")
-    lines.append(f"{sum(1 for _, f in results if not f)}/{len(results)} suites passed")
-    text = "\n".join(lines)
-    print(text)
-    if args.out:
-        atomic_write_text(args.out, text + "\n")
-    return 0 if all_ok else 1
-
-
 def cmd_bench(args) -> int:
     dtype = np.float64 if args.precision == "f64" else np.float32
     with _options():  # run_bench checks its geometry before timing anything
@@ -256,8 +231,6 @@ def cmd_dump_kernel(args) -> int:
             decay_t=args.decay_t,
             init=args.init,
         )
-        if args.precision != "f64":
-            raise ValueError("kernels are materialized in f64 only")
     _, kern = init_kernel(cfg, np.random.default_rng(args.seed))
     write_kernel_csv(kern, args.out)
     print(f"wrote {args.out} ({cfg.channels} channels x {cfg.seq_len} positions, "
@@ -291,8 +264,6 @@ def cmd_train(args) -> int:
             seed=args.seed,
             eval_every=args.eval_every,
         )
-        if args.precision != "f64":
-            raise ValueError("training runs in f64 only")
     initial = None
     if args.resume:
         try:
@@ -346,8 +317,6 @@ def cmd_ablate(args) -> int:
             eval_every=max(1, args.steps // 2),
             seed=args.seed,
         )
-        if args.precision != "f64":
-            raise ValueError("ablation runs in f64 only")
     seeds = tuple(args.seed + i for i in range(args.seeds))
     rows = model_mod.ablate_decay(
         spec, grid, train_cfg, channels=args.channels, seeds=seeds
@@ -367,7 +336,6 @@ def cmd_ablate(args) -> int:
 
 
 HANDLERS = {
-    "verify": cmd_verify,
     "bench": cmd_bench,
     "dump-kernel": cmd_dump_kernel,
     "train": cmd_train,
@@ -389,8 +357,7 @@ def main(argv=None) -> int:
                 config = _config_defaults(command, args)
                 command.set_defaults(**config)
                 args = parser.parse_args(argv)
-            if args.out is not None:  # an unusable output path fails before the run
-                _check_out_path(args.out)
+            _check_out_path(args.out)  # an unusable output path fails before the run
         # what the user set, by flag or config file, as against the defaults
         args.given = _given(command, args, argv[1:]) | config.keys()
         return HANDLERS[args.command](args)

@@ -534,17 +534,20 @@ def classifier_forward(
 ):
     """Embed or project, run the block stack, pool, and read out logits.
 
-    inputs must be what the model takes (_check_inputs), else ValueError.
-    Each block's kernel is built once per call.  Without a cache, a batch
-    of more than 2 * FORWARD_CHUNK samples runs up to the pooling in slices
-    of at most FORWARD_CHUNK samples on _run_slices' workers, each with a
-    spectrum workspace private to the call, and the head then reads out all
-    of them at once; the logits are bit-identical to an unsliced pass.
+    inputs must be what the model takes (_check_inputs), and hold at least
+    one sample for a cached pass, else ValueError.  Each block's kernel is
+    built once per call.  Without a cache, a batch of more than
+    2 * FORWARD_CHUNK samples runs up to the pooling in slices of at most
+    FORWARD_CHUNK samples on _run_slices' workers, each with a spectrum
+    workspace private to the call, and the head then reads out all of them
+    at once; the logits are bit-identical to an unsliced pass.
     """
     if plan is None:
         plan = make_plan(cfg.seq_len)
     inputs = _check_inputs(inputs, cfg)
     if want_cache:
+        if not len(inputs):  # a cache feeds a backward, which needs a sample
+            raise ValueError("a cached forward needs at least one sample, got an empty batch")
         caches = []
         pooled = _features(inputs, state, cfg, plan, caches=caches)
     elif len(inputs) <= 2 * FORWARD_CHUNK:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import sgconv.model as model_mod
-import sgconv.verify as verify_mod
 from sgconv.cli import build_parser, main
 from sgconv.conv import make_plan
 from sgconv.model import classifier_forward, load_checkpoint
@@ -39,11 +38,6 @@ class TestDumpKernel:
         run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rejects_f32(self, tmp_path, capsys):
-        rc = run_cli("dump-kernel", "--len", "16", "--scale-dim", "4",
-                     "--precision", "f32", "--out", str(tmp_path / "k.csv"))
-        assert rc == 2
-
     def test_per_scale_peaks_shrink_statistically(self, tmp_path):
         # with identically-distributed init, mean per-scale peak magnitude
         # decreases across scales because of the alpha**i weighting
@@ -62,52 +56,6 @@ class TestDumpKernel:
                 offset += li
         peaks /= 100
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
-
-
-class TestVerify:
-    def test_clean_build_passes(self, capsys):
-        assert run_cli("verify") == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.strip().split("\n") if l.startswith("PASS")]
-        assert len(lines) >= 6
-
-    def test_filter_runs_subset(self, capsys):
-        assert run_cli("verify", "--filter", "fftconv") == 0
-        out = capsys.readouterr().out
-        names = [l.split()[1] for l in out.strip().split("\n") if l.startswith("PASS")]
-        assert names and all("fftconv" in n for n in names)
-
-    def test_unknown_filter_rejected(self, tmp_path, capsys):
-        out = tmp_path / "v.txt"
-        assert run_cli("verify", "--filter", "nonexistent-suite", "--out", str(out)) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "sgconv verify: no suite matches filter 'nonexistent-suite'\n"
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_error_inside_a_suite_is_not_bad_input(self, monkeypatch):
-        def broken(precision):
-            raise ValueError("raised by the suite")
-
-        monkeypatch.setattr(verify_mod, "SUITES", (("fftconv.agreement", broken),))
-        with pytest.raises(ValueError, match="raised by the suite"):
-            run_cli("verify")
-
-    def test_corrupted_suite_fails(self, monkeypatch, capsys):
-        broken = (("fftconv.agreement", lambda precision: ["injected failure"]),)
-        monkeypatch.setattr(verify_mod, "SUITES", broken)
-        assert run_cli("verify") == 1
-        assert "FAIL fftconv.agreement" in capsys.readouterr().out
-
-    def test_output_deterministic(self, capsys):
-        run_cli("verify", "--filter", "kernelgen")
-        first = capsys.readouterr().out
-        run_cli("verify", "--filter", "kernelgen")
-        assert capsys.readouterr().out == first
-
-    def test_f32_precision_relaxes_agreement_tolerance(self, capsys):
-        assert run_cli("verify", "--filter", "fftconv.agreement", "--precision", "f32") == 0
-        assert "PASS fftconv.agreement" in capsys.readouterr().out
 
 
 class TestBenchCommand:
@@ -369,7 +317,10 @@ class TestConfigFile:
             ("dump-kernel", "scale_dm = 4", "scale_dm"),
             ("train", "lengths = 16,32", "lengths"),
             ("ablate", "resume = base.ckpt", "resume"),
-            ("verify", "config = other.cfg", "config"),
+            ("bench", "config = other.cfg", "config"),
+            ("dump-kernel", "precision = f64", "precision"),
+            ("train", "precision = f64", "precision"),
+            ("ablate", "precision = f64", "precision"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, monkeypatch, capsys, command, line, key):
@@ -435,7 +386,6 @@ class TestBadInput:
             ("train --config noeq.cfg", "expected `key = value`"),
             ("train --config missing.cfg", "No such file"),
             ("train --config abc.cfg", "bad value for steps: 'abc'"),
-            ("train --precision f32", "training runs in f64 only"),
             ("ablate --steps 0", "steps must be >= 1"),
             ("ablate --seeds 0", "seeds must be >= 1"),
             ("ablate --len 32", "scale_dim must satisfy"),  # the default d-sweep reaches 64
@@ -457,10 +407,29 @@ class TestBadInput:
         assert err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.cfg", "noeq.cfg"]
 
+    # a retired command or option is refused by argparse itself, with its usage
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify", "argument command: invalid choice: 'verify'"),
+            ("dump-kernel --precision f64", "unrecognized arguments: --precision f64"),
+            ("train --precision f32", "unrecognized arguments: --precision f32"),
+            ("ablate --precision f64", "unrecognized arguments: --precision f64"),
+            ("bench --precision f16", "argument --precision: invalid choice: 'f16'"),
+        ],
+    )
+    def test_parser_rejects(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv.split(), "--out", "out")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sgconv") and message in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [
-            "verify --filter kernelgen",
             "bench --lengths 16 --channels 1 --batch 1",
             "dump-kernel --len 16 --scale-dim 4",
             "train --len 32 --steps 1 --channels 2",
@@ -484,24 +453,23 @@ class TestBadInput:
 # Each command's defaults, written out as literals so that a moved or retyped
 # default fails here; repr tells 1 from 1.0 and a tuple from a list.
 DEFAULTS = {
-    "verify": {"seed": 0, "precision": "f64", "filter": None, "out": None},
     "bench": {
         "seed": 0, "precision": "f32", "out": "bench.csv",
         "lengths": (256, 512, 1024, 2048, 4096, 8192, 16384), "channels": 128, "batch": 64,
         "reps": 5, "direct_cap": 8192, "impls": ("conv_direct", "conv_fft", "attn_quadratic"),
     },
     "dump-kernel": {
-        "seed": 0, "precision": "f64", "out": "kernel.csv", "seq_len": 4096, "scale_dim": 32,
+        "seed": 0, "out": "kernel.csv", "seq_len": 4096, "scale_dim": 32,
         "decay_alpha": 0.5, "decay_t": 1.0, "channels": 1, "mode": "concat", "init": "gaussian",
     },
     "train": {
-        "seed": 0, "precision": "f64", "task": "first-token-recall", "classes": 8,
+        "seed": 0, "task": "first-token-recall", "classes": 8,
         "batch_size": 32, "channels": 32, "out": "run", "seq_len": 1024, "steps": 500,
         "lr": 3e-2, "optimizer": "adam", "blocks": 1, "scale_dim": 8, "mode": "concat",
         "decay_alpha": 0.5, "decay_t": 1.0, "eval_every": 50, "resume": None,
     },
     "ablate": {
-        "seed": 0, "precision": "f64", "task": "first-token-recall", "classes": 8,
+        "seed": 0, "task": "first-token-recall", "classes": 8,
         "batch_size": 32, "channels": 32, "out": "ablation.csv", "seq_len": 256, "steps": 200,
         "lr": 2e-2, "seeds": 1, "t_sweep": (0.0, 0.5, 1.0, 2.0), "d_sweep": (1, 8, 64),
         "fixed_d": 8, "fixed_t": 1.0,
@@ -510,6 +478,9 @@ DEFAULTS = {
 
 
 class TestDefaults:
+    def test_the_table_names_every_command(self):
+        assert set(build_parser()[1]) == set(DEFAULTS)
+
     @pytest.mark.parametrize("command", list(DEFAULTS))
     def test_no_flags_give_the_default_table(self, command):
         parser, _ = build_parser()

@@ -193,7 +193,8 @@ class TestUpsampleAdjoint:
             for l in range(d, 65):
                 U_t = upsample_linear(np.eye(d), l)  # (d, l) = U^T
                 g = rng.standard_normal(l)
-                np.testing.assert_allclose(upsample_adjoint(g, d), U_t @ g, atol=1e-12)
+                ref = U_t @ g
+                assert np.abs(upsample_adjoint(g, d) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_rejects_shorter_gradient(self):
         with pytest.raises(ValueError):
@@ -284,19 +285,20 @@ class TestKernelParamGrad:
 
     @pytest.mark.parametrize("mode", ["concat", "disentangled"])
     def test_full_pipeline_finite_differences(self, mode):
-        cfg = KernelConfig(
-            seq_len=256, scale_dim=8, channels=2, mode=mode, decay_alpha=0.5, decay_t=1.0
-        )
-        params, kern = init_kernel(cfg, np.random.default_rng(9))
-        z = kern.normalizer
+        for L in (256, 96):  # 96 cuts the last scale short
+            cfg = KernelConfig(
+                seq_len=L, scale_dim=8, channels=2, mode=mode, decay_alpha=0.5, decay_t=1.0
+            )
+            params, kern = init_kernel(cfg, np.random.default_rng(9))
+            z = kern.normalizer
 
-        def loss_fn(p):
-            vals = materialize(p, cfg, normalizer=z).values
-            return 0.5 * float((vals**2).sum())
+            def loss_fn(p, cfg=cfg, z=z):
+                vals = materialize(p, cfg, normalizer=z).values
+                return 0.5 * float((vals**2).sum())
 
-        dk = materialize(params, cfg, normalizer=z).values
-        dweights = kernel_param_grad(dk, params, cfg, z)
-        assert finite_diff_check(loss_fn, params, dweights) < 1e-5
+            dk = materialize(params, cfg, normalizer=z).values
+            dweights = kernel_param_grad(dk, params, cfg, z)
+            assert finite_diff_check(loss_fn, params, dweights) < 1e-5, L
 
     def test_per_channel_alpha_gradient(self):
         cfg = KernelConfig(seq_len=128, scale_dim=8, channels=4, init="cosine", mode="concat")

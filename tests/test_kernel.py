@@ -93,13 +93,13 @@ class TestNumScales:
                 assert sum(sub_kernel_len(i, d) for i in range(n)) == L
 
     def test_param_count_sublinear(self):
-        d = 8
-        prev = None
-        for L in (256, 512, 1024, 2048, 4096, 8192, 16384):
-            frac = num_scales(L, d) * d / L
-            if prev is not None:
-                assert frac < prev
-            prev = frac
+        for d in (8, 16):
+            prev = None
+            for L in (256, 512, 1024, 2048, 4096, 8192, 16384):
+                frac = num_scales(L, d) * d / L
+                if prev is not None:
+                    assert frac < prev
+                prev = frac
 
 
 class TestSubKernelLen:
@@ -278,19 +278,21 @@ class TestAssembly:
 class TestBuildDisentangled:
     def test_zero_exponent_matches_plain_concatenation(self):
         rng = np.random.default_rng(21)
-        c_flat = KernelConfig(seq_len=64, scale_dim=4, channels=2, mode="disentangled", decay_t=0.0)
-        c_one = KernelConfig(seq_len=64, scale_dim=4, channels=2, mode="concat", decay_alpha=1.0)
-        params = init_params(c_flat, rng)
-        k_flat = materialize(params, c_flat)
-        k_one = materialize(params, c_one)
-        np.testing.assert_allclose(k_flat.values, k_one.values, atol=1e-15)
+        for L, d in ((64, 4), (200, 8)):  # 200 cuts the last scale short
+            flat = KernelConfig(seq_len=L, scale_dim=d, channels=2, mode="disentangled",
+                                decay_t=0.0)
+            one = KernelConfig(seq_len=L, scale_dim=d, channels=2, mode="concat", decay_alpha=1.0)
+            params = init_params(flat, rng)
+            k_flat = materialize(params, flat)
+            k_one = materialize(params, one)
+            np.testing.assert_allclose(k_flat.values, k_one.values, rtol=0, atol=1e-15)
 
     def test_decay_vector_t1(self):
         np.testing.assert_allclose(position_decay(4, 1.0), [1.0, 0.5, 1 / 3, 0.25])
 
     def test_decay_non_increasing(self):
-        for t in (0.0, 0.5, 1.0, 2.0):
-            dec = position_decay(100, t)
+        for t in (0.0, 0.5, 1.0, 1.5, 2.0):
+            dec = position_decay(256, t)
             assert np.all(np.diff(dec) <= 0.0)
 
     def test_matches_loop_reference(self):

@@ -384,8 +384,11 @@ class TestClassifier:
                 r"real inputs must have shape \(B, 2, 32\), got \(4, 3, 32\)",
             ),
             (ADDING, lambda x: x.astype(np.int64), r"real inputs must be of floating dtype, got int"),
+            (RECALL, lambda x: x[:0],
+             r"a cached forward needs at least one sample, got an empty batch"),
         ],
-        ids=["float-tokens", "tokens-with-a-channel-axis", "three-real-channels", "integer-reals"],
+        ids=["float-tokens", "tokens-with-a-channel-axis", "three-real-channels", "integer-reals",
+             "empty-batch"],
     )
     def test_rejects_inputs_the_model_does_not_take(self, spec, make, match):
         cfg = ModelConfig.for_task(spec, channels=8, n_blocks=1, scale_dim=4)
@@ -393,11 +396,14 @@ class TestClassifier:
         inputs, labels = gen_batch(spec, 4, np.random.default_rng(61))
         plan = make_plan(cfg.seq_len)
         bad = make(inputs)
-        for run in (
-            lambda: classifier_forward(bad, state, cfg, plan),
-            lambda: classifier_forward(bad, state, cfg, plan, want_cache=True),
-            lambda: _step_grads(bad, labels, state, cfg, plan, spec.is_regression),
-        ):
+        runs = [lambda: classifier_forward(bad, state, cfg, plan, want_cache=True)]
+        # without a cache an empty batch has (0, C) logits; train never steps on one
+        if len(bad):
+            runs += [
+                lambda: classifier_forward(bad, state, cfg, plan),
+                lambda: _step_grads(bad, labels, state, cfg, plan, spec.is_regression),
+            ]
+        for run in runs:
             with pytest.raises(ValueError, match=match):
                 run()
 
@@ -911,22 +917,23 @@ class TestGradients:
     def test_one_descent_step_reduces_loss_many_seeds(self):
         from sgconv.model import _Optimizer
 
-        for seed in range(20):
-            cfg = tiny_config(n_blocks=1)
-            state = init_model(cfg, np.random.default_rng(100 + seed))
-            plan = make_plan(cfg.seq_len)
-            inputs, labels = gen_batch(RECALL, 16, np.random.default_rng(200 + seed))
-            logits, cache = classifier_forward(inputs, state, cfg, plan, want_cache=True)
-            loss0, dlogits = cross_entropy(logits, labels)
-            grads = classifier_backward(dlogits, cache, inputs, state, cfg, plan)
-            items = _param_items(state)
-            opt = _Optimizer(
-                [a for _, a in items],
-                TrainConfig(steps=1, lr=1e-4, optimizer="sgd"),
-            )
-            opt.step([grads[n] for n, _ in items])
-            loss1, _ = cross_entropy(classifier_forward(inputs, state, cfg, plan), labels)
-            assert loss1 < loss0, f"seed {seed}: {loss0} -> {loss1}"
+        for n_blocks in (1, 2):
+            for seed in range(20):
+                cfg = tiny_config(n_blocks=n_blocks)
+                state = init_model(cfg, np.random.default_rng(100 + seed))
+                plan = make_plan(cfg.seq_len)
+                inputs, labels = gen_batch(RECALL, 16, np.random.default_rng(200 + seed))
+                logits, cache = classifier_forward(inputs, state, cfg, plan, want_cache=True)
+                loss0, dlogits = cross_entropy(logits, labels)
+                grads = classifier_backward(dlogits, cache, inputs, state, cfg, plan)
+                items = _param_items(state)
+                opt = _Optimizer(
+                    [a for _, a in items],
+                    TrainConfig(steps=1, lr=1e-4, optimizer="sgd"),
+                )
+                opt.step([grads[n] for n, _ in items])
+                loss1, _ = cross_entropy(classifier_forward(inputs, state, cfg, plan), labels)
+                assert loss1 < loss0, f"{n_blocks} blocks, seed {seed}: {loss0} -> {loss1}"
 
 
 class TestTraining:
