@@ -248,13 +248,7 @@ def cmd_train(args) -> int:
     with _options():
         spec = _task_spec(args)
         model_cfg = model_mod.ModelConfig.for_task(
-            spec,
-            channels=args.channels,
-            n_blocks=args.blocks,
-            scale_dim=args.scale_dim,
-            mode=args.mode,
-            decay_alpha=args.decay_alpha,
-            decay_t=args.decay_t,
+            spec, **{field: getattr(args, dest) for dest, field in MODEL_FLAGS.items()}
         )
         train_cfg = model_mod.TrainConfig(
             steps=args.steps,

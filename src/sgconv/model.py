@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -127,6 +127,11 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.eval_every < 1 or self.batch_size < 1 or self.eval_samples < 1:
             raise ValueError("eval_every, batch_size, eval_samples must be >= 1")
+
+
+# A block's trainable tensors in checkpoint and optimizer order; its other
+# field, kernel_norm, is a fixed buffer.
+_BLOCK_PARAMS = ("weights", "gamma", "beta", "mix_w", "mix_b")
 
 
 @dataclass
@@ -387,14 +392,7 @@ def block_backward(
         dxt -= np.multiply(xt, dxhat.mean(axis=0), out=prod)
         dxt *= inv[b]
         dxt += dres[b]
-    grads = {
-        "weights": dweights,
-        "gamma": dgamma,
-        "beta": dbeta,
-        "mix_w": dmix_w,
-        "mix_b": dmix_b,
-    }
-    return dx, grads
+    return dx, dict(zip(_BLOCK_PARAMS, (dweights, dgamma, dbeta, dmix_w, dmix_b)))
 
 
 # Cache-less passes (eval, serving) of more than twice this many samples run
@@ -635,8 +633,8 @@ def _step_grads(
     regression: bool,
     works: list[dict] | None = None,
 ) -> tuple[float, dict]:
-    """Mean loss of a training batch and its gradients, keyed like
-    _param_items.
+    """Mean loss of a training batch of at least one sample and its
+    gradients, keyed like _param_items.
 
     Forward, loss and backward run over slices of at most FORWARD_CHUNK
     samples: gradient accumulation over micro-batches, the slices spread
@@ -654,9 +652,11 @@ def _step_grads(
     works reuse; without works numpy allocates them.
     """
     inputs = _check_inputs(inputs, cfg)
+    n = len(inputs)
+    if not n:  # the mean loss of no samples is undefined
+        raise ValueError("a training step needs at least one sample, got an empty batch")
     loss_fn = squared_error if regression else cross_entropy
     kernels = [_kernel(bp, cfg.kernel_config()) for bp in state.blocks]
-    n = len(inputs)
 
     def run(i, j, work):
         chunk = inputs[i:j]
@@ -680,22 +680,13 @@ def _step_grads(
 
 
 def _param_items(state: ModelState) -> list[tuple[str, np.ndarray]]:
-    """Trainable tensors in their fixed declaration order."""
-    items = []
-    if state.embed is not None:
-        items.append(("embed", state.embed))
-    if state.in_proj is not None:
-        items.append(("in_proj", state.in_proj))
-        items.append(("in_bias", state.in_bias))
+    """Trainable tensors by name, in checkpoint and optimizer order: the
+    input tensors, each block's _BLOCK_PARAMS, then the head."""
+    inputs = [(n, getattr(state, n)) for n in ("embed", "in_proj", "in_bias")]
+    items = [(n, a) for n, a in inputs if a is not None]
     for i, bp in enumerate(state.blocks):
-        items.append((f"block{i}.weights", bp.weights))
-        items.append((f"block{i}.gamma", bp.gamma))
-        items.append((f"block{i}.beta", bp.beta))
-        items.append((f"block{i}.mix_w", bp.mix_w))
-        items.append((f"block{i}.mix_b", bp.mix_b))
-    items.append(("head_w", state.head_w))
-    items.append(("head_b", state.head_b))
-    return items
+        items += [(f"block{i}.{n}", getattr(bp, n)) for n in _BLOCK_PARAMS]
+    return items + [("head_w", state.head_w), ("head_b", state.head_b)]
 
 
 def _buffer_items(state: ModelState) -> list[tuple[str, np.ndarray]]:
@@ -888,11 +879,10 @@ def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes = {"embed": (cfg.vocab_size, H)}
     else:
         shapes = {"in_proj": (H, cfg.in_channels), "in_bias": (H,)}
+    block = {"weights": (H, kcfg.num_scales, kcfg.scale_dim), "mix_w": (H, H),
+             "gamma": (H,), "beta": (H,), "mix_b": (H,), "kernel_norm": (H,)}
     for i in range(cfg.n_blocks):
-        shapes[f"block{i}.weights"] = (H, kcfg.num_scales, kcfg.scale_dim)
-        shapes[f"block{i}.mix_w"] = (H, H)
-        for name in ("gamma", "beta", "mix_b", "kernel_norm"):
-            shapes[f"block{i}.{name}"] = (H,)
+        shapes.update({f"block{i}.{name}": shape for name, shape in block.items()})
     shapes["head_w"] = (H, cfg.classes)
     shapes["head_b"] = (cfg.classes,)
     return shapes
@@ -922,8 +912,10 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
 
     Raises ValueError, naming the fault, for a file of the wrong byte length,
     a header whose tensor names and shapes differ from what its model config
-    implies, or an older header whose kernel_init, activation or pooling is
-    not the one value the model now has.
+    implies, an older header whose kernel_init, activation or pooling is not
+    the one value the model now has, a tensor holding a non-finite value, or
+    a kernel_norm entry <= 0 (a normalizer is the L2 norm of a nonzero
+    kernel).
     """
     import json
 
@@ -939,14 +931,14 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
         raise ValueError(f"unsupported checkpoint version {version}")
     header = json.loads(data[12 : 12 + jlen].decode("utf-8"))
     try:
-        fields = dict(header["model"])
+        saved = dict(header["model"])
         for name, only in _RETIRED_FIELDS.items():
-            value = fields.pop(name, only)
+            value = saved.pop(name, only)
             if value != only:
                 raise ValueError(
                     f"checkpoint model has {name}={value!r}; only {only!r} is supported"
                 )
-        cfg = ModelConfig(**fields)
+        cfg = ModelConfig(**saved)
         names = [entry["name"] for entry in header["tensors"]]
         shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
     except (KeyError, TypeError) as exc:
@@ -962,25 +954,15 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
         arr = np.frombuffer(data[offset : offset + 8 * count], dtype="<f8")
         arrays[name] = arr.astype(np.float64).reshape(shape)
         offset += 8 * count
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint tensor {name!r} holds a non-finite value")
+        if name.endswith(".kernel_norm") and not (arr > 0).all():
+            raise ValueError(f"checkpoint tensor {name!r} holds a normalizer <= 0")
 
-    blocks = []
-    for i in range(cfg.n_blocks):
-        blocks.append(
-            BlockParams(
-                weights=arrays[f"block{i}.weights"],
-                kernel_norm=arrays[f"block{i}.kernel_norm"],
-                gamma=arrays[f"block{i}.gamma"],
-                beta=arrays[f"block{i}.beta"],
-                mix_w=arrays[f"block{i}.mix_w"],
-                mix_b=arrays[f"block{i}.mix_b"],
-            )
-        )
-    state = ModelState(
-        blocks=blocks,
-        head_w=arrays["head_w"],
-        head_b=arrays["head_b"],
-        embed=arrays.get("embed"),
-        in_proj=arrays.get("in_proj"),
-        in_bias=arrays.get("in_bias"),
-    )
-    return state, cfg
+    def rebuild(cls, prefix="", **given):
+        """cls with each field the array named prefix + field (None where the
+        file has none), unless given."""
+        return cls(**{f.name: arrays.get(prefix + f.name) for f in fields(cls)} | given)
+
+    blocks = [rebuild(BlockParams, f"block{i}.") for i in range(cfg.n_blocks)]
+    return rebuild(ModelState, blocks=blocks), cfg

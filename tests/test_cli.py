@@ -137,7 +137,9 @@ class TestTrainCommand:
         assert "non-finite gradient in block0.weights at step 1" in err
         assert not (tmp_path / "nan.ckpt").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "trailing", "renamed", "relu"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "trailing", "renamed", "relu", "nan-weights", "zero-norm"]
+    )
     def test_resume_rejects_damaged_checkpoint(self, damage, tmp_path, capsys):
         args = ["train", "--task", "first-token-recall", "--len", "32", "--classes", "4",
                 "--steps", "2", "--batch-size", "4", "--channels", "8", "--blocks", "1",
@@ -148,12 +150,21 @@ class TestTrainCommand:
         jlen = int.from_bytes(blob[8:12], "little")
         # an older header's activation field, at a value the model no longer has
         relu = blob[12 : 12 + jlen].replace(b'{"model": {', b'{"model": {"activation": "relu", ')
+        # the first entry of block0.weights, which follows the token table
+        tensors = json.loads(blob[12 : 12 + jlen])["tensors"]
+        assert [t["name"] for t in tensors[:2]] == ["embed", "block0.weights"]
+        at = 12 + jlen + 8 * int(np.prod(tensors[0]["shape"]))
+        nan = blob[:at] + np.array([np.nan], "<f8").tobytes() + blob[at + 8 :]
         damaged, message = {
             "truncated": (blob[:-5], f"expected {len(blob)} bytes"),
             "trailing": (blob + b"\x00", f"expected {len(blob)} bytes"),
             "renamed": (blob.replace(b'"head_b"', b'"head_c"'), "unexpected tensor 'head_c'"),
             "relu": (blob[:8] + len(relu).to_bytes(4, "little") + relu + blob[12 + jlen :],
                      "checkpoint model has activation='relu'; only 'gelu' is supported"),
+            "nan-weights": (nan, "checkpoint tensor 'block0.weights' holds a non-finite value"),
+            # the last 8 bytes are the last kernel_norm entry
+            "zero-norm": (blob[:-8] + np.array([0.0], "<f8").tobytes(),
+                          "checkpoint tensor 'block0.kernel_norm' holds a normalizer <= 0"),
         }[damage]
         ckpt.write_bytes(damaged)
         capsys.readouterr()

@@ -75,7 +75,9 @@ class TestDirect:
         for L in (1, 2, 5, 16, 33):
             x = rng.standard_normal(L)
             k = rng.standard_normal(L)
-            np.testing.assert_allclose(causal_conv_direct(x, k), scalar_conv(x, k), atol=1e-12)
+            np.testing.assert_allclose(
+                causal_conv_direct(x, k), scalar_conv(x, k), rtol=0, atol=1e-12
+            )
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -157,8 +159,8 @@ class TestDepthwiseBatch:
         k = np.zeros((2, L))
         k[0, 0] = 1.0  # impulse on channel 0; channel 1 kernel all-zero
         y = depthwise_conv_batch(x, k, make_plan(L))
-        np.testing.assert_allclose(y[:, 0], x[:, 0], atol=1e-13)
-        np.testing.assert_allclose(y[:, 1], 0.0, atol=1e-13)
+        np.testing.assert_allclose(y[:, 0], x[:, 0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(y[:, 1], 0.0, rtol=0, atol=1e-13)
 
     def test_batch_independence(self):
         rng = np.random.default_rng(7)

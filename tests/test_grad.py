@@ -41,14 +41,14 @@ class TestConvAdjoint:
         x = np.array([1.0, 2.0])
         dy = np.array([0.0, 1.0])
         _, dk = adjoint_one(x, np.array([0.3, 0.7]), dy, make_plan(2))
-        np.testing.assert_allclose(dk, [2.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(dk, [2.0, 1.0], rtol=0, atol=1e-12)
 
     def test_zero_cotangent_gives_zeros(self):
         rng = np.random.default_rng(0)
         x, k = rng.standard_normal((2, 32))
         dx, dk = adjoint_one(x, k, np.zeros(32), make_plan(32))
-        np.testing.assert_allclose(dx, 0.0, atol=1e-14)
-        np.testing.assert_allclose(dk, 0.0, atol=1e-14)
+        np.testing.assert_allclose(dx, 0.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dk, 0.0, rtol=0, atol=1e-14)
 
     def test_inner_product_identities(self):
         rng = np.random.default_rng(1)
@@ -166,9 +166,9 @@ class TestBatchAdjoint:
             acc = np.zeros(L)
             for b in range(B):
                 dxb, dkb = adjoint_one(x[b, h], k[h], dy[b, h], plan)
-                np.testing.assert_allclose(dx[b, h], dxb, atol=1e-12)
+                np.testing.assert_allclose(dx[b, h], dxb, rtol=0, atol=1e-12)
                 acc += dkb
-            np.testing.assert_allclose(dk[h], acc, atol=1e-11)
+            np.testing.assert_allclose(dk[h], acc, rtol=0, atol=1e-11)
 
 
 class TestUpsampleAdjoint:
@@ -185,7 +185,7 @@ class TestUpsampleAdjoint:
         d, l = 8, 32
         U = upsample_linear(np.eye(d), l)  # row j = U @ e_j, i.e. U^T
         g = rng.standard_normal(l)
-        np.testing.assert_allclose(upsample_adjoint(g, d), U @ g, atol=1e-13)
+        np.testing.assert_allclose(upsample_adjoint(g, d), U @ g, rtol=0, atol=1e-13)
 
     def test_matches_dense_transpose_sweep(self):
         rng = np.random.default_rng(6)

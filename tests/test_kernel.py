@@ -139,7 +139,9 @@ class TestUpsample:
         rng = np.random.default_rng(4)
         for d, l in ((2, 4), (3, 7), (8, 32), (5, 5), (1, 6)):
             w = rng.standard_normal(d)
-            np.testing.assert_allclose(upsample_linear(w, l), loop_upsample(w, l), atol=1e-14)
+            np.testing.assert_allclose(
+                upsample_linear(w, l), loop_upsample(w, l), rtol=0, atol=1e-14
+            )
 
     @pytest.mark.parametrize("d, n", [(1, 6), (5, 5), (3, 7), (8, 32)])
     def test_output_is_c_contiguous(self, d, n):
@@ -192,7 +194,7 @@ class TestBuildConcat:
         kern = materialize(params, cfg)
         ref = loop_build(params.weights, cfg)
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-        np.testing.assert_allclose(kern.values, ref, atol=1e-13)
+        np.testing.assert_allclose(kern.values, ref, rtol=0, atol=1e-13)
 
     def test_truncation_matches_loop_reference(self):
         rng = np.random.default_rng(12)
@@ -201,7 +203,7 @@ class TestBuildConcat:
         kern = materialize(params, cfg)
         ref = loop_build(params.weights, cfg)
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-        np.testing.assert_allclose(kern.values, ref, atol=1e-13)
+        np.testing.assert_allclose(kern.values, ref, rtol=0, atol=1e-13)
 
     def test_per_scale_magnitude_bound(self):
         rng = np.random.default_rng(13)
@@ -302,7 +304,7 @@ class TestBuildDisentangled:
         kern = materialize(params, cfg)
         ref = loop_build(params.weights, cfg)
         ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-        np.testing.assert_allclose(kern.values, ref, atol=1e-13)
+        np.testing.assert_allclose(kern.values, ref, rtol=0, atol=1e-13)
 
 
 class TestInit:
@@ -321,7 +323,7 @@ class TestInit:
                 )
                 _, kern = init_kernel(cfg, rng)
                 np.testing.assert_allclose(
-                    np.linalg.norm(kern.values, axis=1), 1.0, atol=1e-6
+                    np.linalg.norm(kern.values, axis=1), 1.0, rtol=0, atol=1e-6
                 )
 
     def test_cosine_single_point_grid_is_constant(self):

@@ -95,7 +95,7 @@ class TestBlock:
         perm = np.array([2, 0, 3, 1])
         y = block_forward(x, state.blocks[0], cfg.kernel_config(), plan)
         y_perm = block_forward(x[perm], state.blocks[0], cfg.kernel_config(), plan)
-        np.testing.assert_allclose(y_perm, y[perm], atol=1e-12)
+        np.testing.assert_allclose(y_perm, y[perm], rtol=0, atol=1e-12)
 
     def test_matches_composition_of_primitives(self):
         cfg = tiny_config(n_blocks=1)
@@ -115,7 +115,7 @@ class TestBlock:
         m = np.einsum("ij,bjl->bil", bp.mix_w, a) + bp.mix_b[None, :, None]
         expect = x + m
         got = block_forward(x, bp, cfg.kernel_config(), plan)
-        np.testing.assert_allclose(got, expect, atol=1e-13)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("layout", ["row-major", "channels-last"])
     def test_per_sample_layer_norm_is_bit_identical(self, layout):
@@ -367,7 +367,7 @@ class TestClassifier:
         inputs, _ = gen_batch(RECALL, 8, np.random.default_rng(12))
         full = classifier_forward(inputs, state, cfg)
         solo = classifier_forward(inputs[3:4], state, cfg)
-        np.testing.assert_allclose(solo[0], full[3], atol=1e-12)
+        np.testing.assert_allclose(solo[0], full[3], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "spec, make, match",
@@ -396,15 +396,17 @@ class TestClassifier:
         inputs, labels = gen_batch(spec, 4, np.random.default_rng(61))
         plan = make_plan(cfg.seq_len)
         bad = make(inputs)
-        runs = [lambda: classifier_forward(bad, state, cfg, plan, want_cache=True)]
-        # without a cache an empty batch has (0, C) logits; train never steps on one
+
+        def step():
+            return _step_grads(bad, labels, state, cfg, plan, spec.is_regression)
+
+        checks = [(lambda: classifier_forward(bad, state, cfg, plan, want_cache=True), match)]
         if len(bad):
-            runs += [
-                lambda: classifier_forward(bad, state, cfg, plan),
-                lambda: _step_grads(bad, labels, state, cfg, plan, spec.is_regression),
-            ]
-        for run in runs:
-            with pytest.raises(ValueError, match=match):
+            checks += [(lambda: classifier_forward(bad, state, cfg, plan), match), (step, match)]
+        else:  # without a cache an empty batch has (0, C) logits
+            checks.append((step, r"a training step needs at least one sample, got an empty batch"))
+        for run, message in checks:
+            with pytest.raises(ValueError, match=message):
                 run()
 
     def test_rejects_out_of_range_tokens(self):
@@ -1035,8 +1037,22 @@ class TestCheckpoint:
                                          _param_items(state2) + _buffer_items(state2)):
                 np.testing.assert_array_equal(a, b, err_msg=name)
 
-    def test_header_layout(self, tmp_path):
-        cfg = tiny_config(n_blocks=1)
+    BLOCK = ["weights", "gamma", "beta", "mix_w", "mix_b"]
+
+    @pytest.mark.parametrize(
+        "cfg, order",
+        [
+            (tiny_config(n_blocks=1),
+             ["embed", *(f"block0.{n}" for n in BLOCK), "head_w", "head_b",
+              "block0.kernel_norm"]),
+            (ModelConfig.for_task(ADDING, channels=4, n_blocks=2, scale_dim=4),
+             ["in_proj", "in_bias", *(f"block0.{n}" for n in BLOCK),
+              *(f"block1.{n}" for n in BLOCK), "head_w", "head_b",
+              "block0.kernel_norm", "block1.kernel_norm"]),
+        ],
+        ids=["token-1-block", "real-2-blocks"],
+    )
+    def test_header_layout(self, tmp_path, cfg, order):
         state = init_model(cfg, np.random.default_rng(21))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, state, cfg)
@@ -1047,6 +1063,8 @@ class TestCheckpoint:
         jlen = int.from_bytes(blob[8:12], "little")
         header = json.loads(blob[12 : 12 + jlen])
         assert "model" in header and "tensors" in header
+        # inputs, each block's trainable tensors, head, then the fixed normalizers
+        assert [t["name"] for t in header["tensors"]] == order
         total = sum(int(np.prod(t["shape"])) for t in header["tensors"])
         assert len(blob) == 12 + jlen + 8 * total
 
